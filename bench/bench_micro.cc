@@ -121,49 +121,16 @@ void BM_EngineEvalCache(benchmark::State& state) {
 }
 BENCHMARK(BM_EngineEvalCache)->Arg(0)->Arg(1)->Unit(benchmark::kMicrosecond);
 
-// ---- Shared eval-cache miss path (membership filter on/off) ----------
+// ---- Shared eval-cache spill/restore ----------------------------------
 
-fs::FeatureMask CacheBenchMask(uint32_t id, bool resident) {
-  // Unique mask per id: the id's bits select among features 1..32;
-  // feature 0 tags the resident population so probe masks are disjoint
-  // from it (every Lookup below is a genuine miss).
+fs::FeatureMask CacheBenchMask(uint32_t id) {
+  // Unique mask per id: the id's bits select among features 0..31.
   fs::FeatureMask mask(64, 0);
-  if (resident) mask[0] = 1;
   for (int b = 0; b < 32; ++b) {
-    if ((id >> b) & 1u) mask[b + 1] = 1;
+    if ((id >> b) & 1u) mask[b] = 1;
   }
   return mask;
 }
-
-// Cost of one negative Lookup against a populated cache — the dominant
-// shared-cache operation under a served workload (most masks are new).
-// With the filter on, the miss is answered by a few relaxed atomic loads;
-// off, it pays the shard mutex + map probe (the ISSUE-7 tentpole gate:
-// filter-on must beat filter-off in bench_diff.py).
-void BM_EvalCacheMiss(benchmark::State& state) {
-  const bool filter = state.range(0) != 0;
-  state.SetLabel(filter ? "filter on" : "filter off");
-  core::EvalCacheOptions options;
-  options.enable_filter = filter;
-  core::ShardedEvalCache cache(options);
-  fs::EvalOutcome outcome;
-  outcome.evaluated = true;
-  for (uint32_t id = 0; id < 4096; ++id) {
-    cache.InsertPublished(CacheBenchMask(id, /*resident=*/true), outcome);
-  }
-  constexpr uint32_t kProbes = 1024;
-  std::vector<fs::FeatureMask> probes;
-  probes.reserve(kProbes);
-  for (uint32_t id = 0; id < kProbes; ++id) {
-    probes.push_back(CacheBenchMask(id, /*resident=*/false));
-  }
-  uint32_t i = 0;
-  fs::EvalOutcome hit;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(cache.Lookup(probes[i++ % kProbes], &hit));
-  }
-}
-BENCHMARK(BM_EvalCacheMiss)->Arg(0)->Arg(1);
 
 // Warm restart: rebuilding a cache from its spilled blob (docs/CACHE.md),
 // the work dfs_serverd --eval-cache-state does at boot. Serialization is
@@ -175,9 +142,7 @@ void BM_EvalCacheWarmRestart(benchmark::State& state) {
   outcome.evaluated = true;
   outcome.validation.f1 = 0.5;
   for (int id = 0; id < entries; ++id) {
-    source.InsertPublished(
-        CacheBenchMask(static_cast<uint32_t>(id), /*resident=*/true),
-        outcome);
+    source.InsertPublished(CacheBenchMask(static_cast<uint32_t>(id)), outcome);
   }
   const std::string blob = source.Serialize();
   state.SetLabel(std::to_string(blob.size() / 1024) + " KiB blob");

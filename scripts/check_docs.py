@@ -8,15 +8,19 @@
    and every declared binary is named in EXPERIMENTS.md (no
    undocumented benchmarks).
 3. Every `DFS_*` environment variable the code reads (any
-   `getenv("DFS_...")` under src/ or bench/) is documented in
+   `getenv("DFS_...")` under src/, bench/ or tools/) is documented in
    EXPERIMENTS.md — env knobs must not be discoverable only by reading
-   the source.
+   the source — and every `DFS_*` row of EXPERIMENTS.md's "Environment
+   knobs" table is read by some such `getenv` (no rows for deleted
+   knobs).
 4. Every tool binary declared in tools/CMakeLists.txt (`dfs_*`) is
    mentioned in at least one top-level or docs/ Markdown file — a tool
    nobody can find from the docs is a tool nobody runs.
 5. Every `cache.*` instrument the code registers (counter/gauge/histogram
    under src/) appears in docs/PROTOCOL.md's instrument registry — the
-   cache surface is documented by name, not by archaeology.
+   cache surface is documented by name, not by archaeology — and every
+   `cache.*` row of that registry is registered somewhere under src/ (no
+   rows for deleted instruments).
 6. The on-disk format version documented in docs/CACHE.md matches
    `kEvalCacheFormatVersion` in src/core/eval_cache.h, so the byte-level
    spec can never drift silently from the decoder.
@@ -99,21 +103,55 @@ def check_bench_binaries():
     return errors
 
 
+def table_rows(text, start_re, end_re):
+    """First-cell backticked names of the Markdown table rows after the
+    first line matching `start_re`, up to the first later line matching
+    `end_re` once a row has been seen; None when `start_re` never
+    matches."""
+    lines = text.splitlines()
+    start = next((i for i, line in enumerate(lines)
+                  if re.match(start_re, line)), None)
+    if start is None:
+        return None
+    names = []
+    seen_row = False
+    for line in lines[start + 1:]:
+        if seen_row and re.match(end_re, line):
+            break
+        if line.startswith("|"):
+            seen_row = True
+            cell = re.match(r"\|\s*`([^`]+)`", line)
+            if cell:
+                names.append(cell.group(1))
+    return names
+
+
 def check_env_knobs():
     getenv_re = re.compile(r"getenv\(\s*\"(DFS_[A-Z0-9_]+)\"")
     read = {}
-    for root in ("src", "bench"):
+    for root in ("src", "bench", "tools"):
         pattern = os.path.join(REPO, root, "**", "*.cc")
         for path in sorted(glob.glob(pattern, recursive=True)):
             with open(path, encoding="utf-8") as handle:
                 for name in getenv_re.findall(handle.read()):
                     read.setdefault(name, os.path.relpath(path, REPO))
     with open(os.path.join(REPO, "EXPERIMENTS.md"), encoding="utf-8") as f:
-        documented = set(re.findall(r"\b(DFS_[A-Z0-9_]+)\b", f.read()))
-    return [
+        text = f.read()
+    documented = set(re.findall(r"\b(DFS_[A-Z0-9_]+)\b", text))
+    errors = [
         f"{path} reads '{name}' but EXPERIMENTS.md does not document it"
         for name, path in sorted(read.items()) if name not in documented
     ]
+    # The table ends at its first non-row line.
+    rows = table_rows(text, r"Environment knobs", r"(?!\|)")
+    if rows is None:
+        return errors + ["EXPERIMENTS.md has no 'Environment knobs' table"]
+    errors += [
+        f"EXPERIMENTS.md documents env knob '{name}' but no getenv under "
+        f"src/, bench/ or tools/ reads it"
+        for name in rows if name.startswith("DFS_") and name not in read
+    ]
+    return errors
 
 
 def check_tool_binaries():
@@ -145,12 +183,24 @@ def check_cache_instruments():
                 registered.setdefault(name, os.path.relpath(path, REPO))
     with open(os.path.join(REPO, "docs", "PROTOCOL.md"),
               encoding="utf-8") as f:
-        documented = set(re.findall(r"\b(cache\.[a-z0-9_.]+)\b", f.read()))
-    return [
+        text = f.read()
+    documented = set(re.findall(r"\b(cache\.[a-z0-9_.]+)\b", text))
+    errors = [
         f"{path} registers instrument '{name}' but docs/PROTOCOL.md does "
         f"not list it" for name, path in sorted(registered.items())
         if name not in documented
     ]
+    # The registry spans several tables, up to the next heading.
+    rows = table_rows(text, r"#+\s*Instrument registry", r"#")
+    if rows is None:
+        return errors + ["docs/PROTOCOL.md has no 'Instrument registry' "
+                         "table"]
+    errors += [
+        f"docs/PROTOCOL.md lists instrument '{name}' but nothing under "
+        f"src/ registers it"
+        for name in rows if name.startswith("cache.") and name not in registered
+    ]
+    return errors
 
 
 def check_cache_format_version():

@@ -1,7 +1,6 @@
 #include "core/eval_cache.h"
 
 #include <algorithm>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <sstream>
@@ -18,8 +17,6 @@ namespace {
 struct CacheMetrics {
   obs::Counter& hits;
   obs::Counter& misses;
-  obs::Counter& filter_negatives;
-  obs::Counter& filter_false_positives;
   obs::Counter& inserts;
   obs::Counter& spills;
   obs::Counter& restores;
@@ -30,8 +27,6 @@ struct CacheMetrics {
     static CacheMetrics* metrics = new CacheMetrics{
         registry.counter("cache.hits"),
         registry.counter("cache.misses"),
-        registry.counter("cache.filter_negatives"),
-        registry.counter("cache.filter_false_positives"),
         registry.counter("cache.inserts"),
         registry.counter("cache.spills"),
         registry.counter("cache.restores"),
@@ -40,54 +35,6 @@ struct CacheMetrics {
     return *metrics;
   }
 };
-
-/// Default filter bit budget per resident entry; DFS_EVAL_CACHE_FILTER_BITS
-/// overrides (documented in EXPERIMENTS.md). Read once per process.
-int DefaultFilterBitsPerEntry() {
-  static const int bits = [] {
-    if (const char* env = std::getenv("DFS_EVAL_CACHE_FILTER_BITS")) {
-      const int parsed = std::atoi(env);
-      if (parsed > 0) return std::min(parsed, 1024);
-    }
-    return 16;
-  }();
-  return bits;
-}
-
-/// First filter generation per shard: 64 words = 4096 bits, enough for the
-/// first ~256 entries at the default budget before the first doubling.
-constexpr size_t kInitialFilterWords = 64;
-
-/// Remix fs::MaskHash for filter probing. Shard selection consumes the
-/// hash's low bits (hash % num_shards), so within one shard they are
-/// nearly constant; the finalizer (Murmur3's) spreads the surviving
-/// entropy back across all 64 bits before word/bit selection.
-uint64_t FilterHash(uint64_t hash) {
-  uint64_t h = hash;
-  h ^= h >> 33;
-  h *= 0xFF51AFD7ED558CCDULL;
-  h ^= h >> 33;
-  h *= 0xC4CEB9FE1A85EC53ULL;
-  h ^= h >> 33;
-  return h;
-}
-
-/// The blocked-Bloom probe pattern: one word, three bits inside it. The
-/// word index comes from the high bits, the bit positions from disjoint
-/// low-bit fields, so one cheap remix feeds the whole probe.
-struct FilterProbe {
-  size_t word;
-  uint64_t bits;
-};
-
-FilterProbe ProbeFor(uint64_t hash, size_t word_count) {
-  const uint64_t h = FilterHash(hash);
-  FilterProbe probe;
-  probe.word = static_cast<size_t>(h >> 40) & (word_count - 1);
-  probe.bits = (1ULL << (h & 63)) | (1ULL << ((h >> 6) & 63)) |
-               (1ULL << ((h >> 12) & 63));
-  return probe;
-}
 
 // ---------------------------------------------------------------------------
 // Binary spill encoding (docs/CACHE.md). Little-endian on every supported
@@ -247,69 +194,15 @@ ShardedEvalCache::ShardedEvalCache(EvalCacheOptions options)
     : options_(options),
       shards_(std::max(1, options.num_shards)) {
   options_.num_shards = static_cast<int>(shards_.size());
-  if (options_.filter_bits_per_entry <= 0) {
-    options_.filter_bits_per_entry = DefaultFilterBitsPerEntry();
-  }
-  if (options_.enable_filter) {
-    for (Shard& shard : shards_) {
-      util::MutexLock lock(shard.mu);
-      FilterInstallLocked(shard, kInitialFilterWords);
-    }
-  }
-}
-
-bool ShardedEvalCache::FilterMightContain(const Shard& shard,
-                                          uint64_t hash) const {
-  const Filter* filter = shard.filter.load(std::memory_order_acquire);
-  if (filter == nullptr) return true;  // filtering disabled: always probe
-  const FilterProbe probe = ProbeFor(hash, filter->words.size());
-  const uint64_t word =
-      filter->words[probe.word].load(std::memory_order_relaxed);
-  return (word & probe.bits) == probe.bits;
-}
-
-ShardedEvalCache::Filter* ShardedEvalCache::FilterInstallLocked(
-    Shard& shard, size_t word_count) {
-  shard.filters.push_back(std::make_unique<Filter>(word_count));
-  Filter* fresh = shard.filters.back().get();
-  // Publish after the words are zero-initialized; readers acquire-load the
-  // pointer, so they never see a half-built array.
-  shard.filter.store(fresh, std::memory_order_release);
-  return fresh;
-}
-
-void ShardedEvalCache::FilterInsertLocked(Shard& shard, uint64_t hash) {
-  Filter* filter = shard.filter.load(std::memory_order_relaxed);
-  if (filter == nullptr) return;
-  // Grow when the resident set outruns the bit budget: double and rebuild
-  // from the map (the only exact membership source — old generations also
-  // hold bits for abandoned masks). The retired generation stays alive for
-  // concurrent readers; doubling keeps total retired memory below the live
-  // array's.
-  const size_t budget_bits =
-      shard.entries.size() * static_cast<size_t>(options_.filter_bits_per_entry);
-  if (budget_bits > filter->words.size() * 64) {
-    filter = FilterInstallLocked(shard, filter->words.size() * 2);
-    for (const auto& [mask, entry] : shard.entries) {
-      const FilterProbe probe =
-          ProbeFor(fs::MaskHash(mask), filter->words.size());
-      filter->words[probe.word].fetch_or(probe.bits,
-                                         std::memory_order_relaxed);
-    }
-  }
-  const FilterProbe probe = ProbeFor(hash, filter->words.size());
-  filter->words[probe.word].fetch_or(probe.bits, std::memory_order_relaxed);
 }
 
 ShardedEvalCache::Acquired ShardedEvalCache::Acquire(
     const fs::FeatureMask& mask, fs::EvalOutcome* outcome) {
-  const uint64_t hash = fs::MaskHash(mask);
-  Shard& shard = shards_[hash % shards_.size()];
+  Shard& shard = ShardFor(mask);
   util::MutexLock lock(shard.mu);
   auto it = shard.entries.find(mask);
   if (it == shard.entries.end()) {
     shard.entries.emplace(mask, std::make_shared<Entry>());
-    FilterInsertLocked(shard, hash);
     return Acquired::kOwner;
   }
   // Hold our own reference: Abandon() erases the map slot while we wait.
@@ -349,40 +242,21 @@ void ShardedEvalCache::Abandon(const fs::FeatureMask& mask) {
 bool ShardedEvalCache::Lookup(const fs::FeatureMask& mask,
                               fs::EvalOutcome* outcome) {
   CacheMetrics& metrics = CacheMetrics::Get();
-  const uint64_t hash = fs::MaskHash(mask);
-  const Shard& shard = shards_[hash % shards_.size()];
-  if (!FilterMightContain(shard, hash)) {
-    filter_negatives_.fetch_add(1, std::memory_order_relaxed);
-    misses_.fetch_add(1, std::memory_order_relaxed);
-    metrics.filter_negatives.Increment();
-    metrics.misses.Increment();
-    return false;
-  }
-  bool resident = false;
+  const Shard& shard = ShardFor(mask);
   bool hit = false;
   {
     util::MutexLock lock(shard.mu);
     auto it = shard.entries.find(mask);
-    if (it != shard.entries.end()) {
-      resident = true;
-      if (it->second->ready) {
-        *outcome = it->second->outcome;
-        hit = true;
-      }
-      // Pending entries read as a miss: Lookup never blocks.
+    // Pending entries read as a miss: Lookup never blocks.
+    if (it != shard.entries.end() && it->second->ready) {
+      *outcome = it->second->outcome;
+      hit = true;
     }
   }
   if (hit) {
     hits_.fetch_add(1, std::memory_order_relaxed);
     metrics.hits.Increment();
     return true;
-  }
-  if (!resident) {
-    // Filter said maybe, the map said no: the documented false-positive
-    // fallthrough (docs/CACHE.md) — also the steady state for abandoned
-    // masks, whose bits can never be cleared.
-    filter_false_positives_.fetch_add(1, std::memory_order_relaxed);
-    metrics.filter_false_positives.Increment();
   }
   misses_.fetch_add(1, std::memory_order_relaxed);
   metrics.misses.Increment();
@@ -391,8 +265,7 @@ bool ShardedEvalCache::Lookup(const fs::FeatureMask& mask,
 
 bool ShardedEvalCache::InsertPublished(const fs::FeatureMask& mask,
                                        const fs::EvalOutcome& outcome) {
-  const uint64_t hash = fs::MaskHash(mask);
-  Shard& shard = shards_[hash % shards_.size()];
+  Shard& shard = ShardFor(mask);
   bool inserted = false;
   {
     util::MutexLock lock(shard.mu);
@@ -402,7 +275,6 @@ bool ShardedEvalCache::InsertPublished(const fs::FeatureMask& mask,
       entry->ready = true;
       entry->outcome = outcome;
       it->second = std::move(entry);
-      FilterInsertLocked(shard, hash);
       inserted = true;
     }
   }
@@ -417,9 +289,6 @@ void ShardedEvalCache::Clear() {
   for (Shard& shard : shards_) {
     util::MutexLock lock(shard.mu);
     shard.entries.clear();
-    if (options_.enable_filter) {
-      FilterInstallLocked(shard, kInitialFilterWords);
-    }
   }
 }
 
@@ -436,9 +305,6 @@ EvalCacheStats ShardedEvalCache::Stats() const {
   EvalCacheStats stats;
   stats.hits = hits_.load(std::memory_order_relaxed);
   stats.misses = misses_.load(std::memory_order_relaxed);
-  stats.filter_negatives = filter_negatives_.load(std::memory_order_relaxed);
-  stats.filter_false_positives =
-      filter_false_positives_.load(std::memory_order_relaxed);
   stats.inserts = inserts_.load(std::memory_order_relaxed);
   stats.caches = 1;
   stats.shard_entries.reserve(shards_.size());
@@ -725,8 +591,6 @@ EvalCacheStats EvalCacheRegistry::Stats() const {
     const EvalCacheStats stats = cache->Stats();
     total.hits += stats.hits;
     total.misses += stats.misses;
-    total.filter_negatives += stats.filter_negatives;
-    total.filter_false_positives += stats.filter_false_positives;
     total.inserts += stats.inserts;
     total.entries += stats.entries;
     if (total.shard_entries.size() < stats.shard_entries.size()) {

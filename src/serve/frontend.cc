@@ -211,10 +211,6 @@ std::string HandleCache(DfsServer& server) {
   object["entries"] = JsonValue::Number(static_cast<double>(stats.entries));
   object["hits"] = JsonValue::Number(static_cast<double>(stats.hits));
   object["misses"] = JsonValue::Number(static_cast<double>(stats.misses));
-  object["filter_negatives"] =
-      JsonValue::Number(static_cast<double>(stats.filter_negatives));
-  object["filter_false_positives"] =
-      JsonValue::Number(static_cast<double>(stats.filter_false_positives));
   object["inserts"] = JsonValue::Number(static_cast<double>(stats.inserts));
   object["spills"] = JsonValue::Number(static_cast<double>(stats.spills));
   object["restores"] =

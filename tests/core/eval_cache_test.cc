@@ -1,8 +1,8 @@
-// Shared-eval-cache tests (ISSUE 7): spill/restore round-trip
-// byte-identity, rejection of corrupt/truncated/stale spills, the
-// membership filter's false-positive fallthrough contract, the OwnerGuard
-// dead-owner regression, registry persistence, engine L2 integration, and
-// a concurrent lookup/insert/spill churn test for the TSan fleet.
+// Shared-eval-cache tests: spill/restore round-trip byte-identity,
+// rejection of corrupt/truncated/stale spills, the non-blocking Lookup
+// contract and its hit/miss accounting, the OwnerGuard dead-owner
+// regression, registry persistence, engine L2 integration, and a
+// concurrent lookup/insert/spill churn test for the TSan fleet.
 
 #include "core/eval_cache.h"
 
@@ -255,15 +255,12 @@ TEST(EvalCacheSpillTest, SaveAndLoadFileRoundTrip) {
   std::remove(path.c_str());
 }
 
-// ---- Membership filter ------------------------------------------------
+// ---- Lookup -------------------------------------------------------------
 
-// A starved bit budget makes the filter dense, so absent-mask probes
-// frequently pass the filter: every one of them must still come back as a
-// correct miss through the locked map probe (false positives fall
-// through; the filter only decides *when* a lock is taken).
-TEST(EvalCacheFilterTest, FalsePositivesFallThroughToMissing) {
-  ShardedEvalCache cache(
-      EvalCacheOptions{.enable_filter = true, .filter_bits_per_entry = 1});
+// Masks that were never inserted never read as hits, however full the
+// cache is: every probe of the disjoint absent population is a miss.
+TEST(EvalCacheLookupTest, AbsentMasksNeverHit) {
+  ShardedEvalCache cache;
   constexpr uint32_t kResident = 512;
   for (uint32_t id = 0; id < kResident; ++id) {
     EXPECT_TRUE(cache.InsertPublished(MaskFor(id, true), OutcomeFor(id)));
@@ -274,57 +271,29 @@ TEST(EvalCacheFilterTest, FalsePositivesFallThroughToMissing) {
     if (!cache.Lookup(MaskFor(id, /*resident=*/false), &got)) ++misses;
   }
   EXPECT_EQ(misses, kResident);  // no phantom hits, ever
-
-  const EvalCacheStats stats = cache.Stats();
-  // Every miss was answered one way or the other; both paths are counted.
-  EXPECT_EQ(stats.filter_negatives + stats.filter_false_positives, kResident);
-  EXPECT_EQ(stats.misses, kResident);
+  EXPECT_EQ(cache.Stats().misses, kResident);
 }
 
-// No false negatives: every published mask must pass the filter and hit.
-TEST(EvalCacheFilterTest, PublishedMasksAlwaysHit) {
-  ShardedEvalCache cache(
-      EvalCacheOptions{.enable_filter = true, .filter_bits_per_entry = 4});
-  constexpr uint32_t kResident = 2048;  // forces filter growth + rebuild
+// Every published mask hits and carries its own outcome.
+TEST(EvalCacheLookupTest, PublishedMasksAlwaysHit) {
+  ShardedEvalCache cache;
+  constexpr uint32_t kResident = 2048;
   for (uint32_t id = 0; id < kResident; ++id) {
     EXPECT_TRUE(cache.InsertPublished(MaskFor(id), OutcomeFor(id)));
   }
   fs::EvalOutcome got;
   for (uint32_t id = 0; id < kResident; ++id) {
     ASSERT_TRUE(cache.Lookup(MaskFor(id), &got)) << "entry " << id;
-    EXPECT_EQ(got.objective, OutcomeFor(id).objective);
+    ExpectOutcomeEq(OutcomeFor(id), got, id);
   }
   const EvalCacheStats stats = cache.Stats();
   EXPECT_EQ(stats.hits, kResident);
   EXPECT_EQ(stats.inserts, kResident);
 }
 
-// With the filter on, a cold cache answers misses without ever reporting
-// a false positive against an empty shard map.
-TEST(EvalCacheFilterTest, ColdCacheMissesAreFilterNegatives) {
-  ShardedEvalCache cache;
-  fs::EvalOutcome got;
-  for (uint32_t id = 0; id < 64; ++id) {
-    EXPECT_FALSE(cache.Lookup(MaskFor(id), &got));
-  }
-  const EvalCacheStats stats = cache.Stats();
-  EXPECT_EQ(stats.filter_negatives, 64u);
-  EXPECT_EQ(stats.filter_false_positives, 0u);
-}
-
-TEST(EvalCacheFilterTest, DisabledFilterStillAnswersCorrectly) {
-  ShardedEvalCache cache(EvalCacheOptions{.enable_filter = false});
-  EXPECT_TRUE(cache.InsertPublished(MaskFor(7), OutcomeFor(7)));
-  fs::EvalOutcome got;
-  EXPECT_TRUE(cache.Lookup(MaskFor(7), &got));
-  EXPECT_FALSE(cache.Lookup(MaskFor(8), &got));
-  const EvalCacheStats stats = cache.Stats();
-  EXPECT_EQ(stats.filter_negatives, 0u);  // no filter to answer anything
-}
-
 // A pending (in-flight) entry reads as a miss through Lookup — the
 // non-blocking contract — and as a blocking hit through Acquire.
-TEST(EvalCacheFilterTest, PendingEntryReadsAsLookupMiss) {
+TEST(EvalCacheLookupTest, PendingEntryReadsAsLookupMiss) {
   ShardedEvalCache cache;
   fs::EvalOutcome scratch;
   ASSERT_EQ(cache.Acquire(MaskFor(1), &scratch),
@@ -333,6 +302,32 @@ TEST(EvalCacheFilterTest, PendingEntryReadsAsLookupMiss) {
   EXPECT_FALSE(cache.Lookup(MaskFor(1), &got));
   cache.Publish(MaskFor(1), OutcomeFor(1));
   EXPECT_TRUE(cache.Lookup(MaskFor(1), &got));
+}
+
+// Every Lookup is counted exactly once, as a hit or as a miss — including
+// pending-entry misses and probes of a cold cache.
+TEST(EvalCacheLookupTest, HitsPlusMissesCountEveryLookup) {
+  ShardedEvalCache cache;
+  fs::EvalOutcome got;
+  uint64_t lookups = 0;
+  for (uint32_t id = 0; id < 64; ++id, ++lookups) {
+    EXPECT_FALSE(cache.Lookup(MaskFor(id), &got));
+  }
+  for (uint32_t id = 0; id < 32; ++id) {
+    cache.InsertPublished(MaskFor(id), OutcomeFor(id));
+  }
+  fs::EvalOutcome scratch;
+  ASSERT_EQ(cache.Acquire(MaskFor(100), &scratch),
+            ShardedEvalCache::Acquired::kOwner);
+  for (uint32_t id = 0; id < 128; ++id, ++lookups) {
+    cache.Lookup(MaskFor(id), &got);  // id 100 is pending: a miss
+  }
+  cache.Publish(MaskFor(100), OutcomeFor(100));
+
+  const EvalCacheStats stats = cache.Stats();
+  EXPECT_EQ(stats.hits, 32u);
+  EXPECT_EQ(stats.misses, 64u + 96u);
+  EXPECT_EQ(stats.hits + stats.misses, lookups);
 }
 
 // ---- OwnerGuard (dead-owner regression) -------------------------------
@@ -663,13 +658,10 @@ TEST(EngineSharedCacheTest, WarmRestartServesFromRestoredSpill) {
 // ---- Concurrent churn (TSan fleet) ------------------------------------
 
 // Lookups, inserts, acquire/publish/abandon, spills, restores and stats
-// reads all race on one cache. A starved filter budget forces concurrent
-// filter growth/rebuild under the readers. Run under TSan by
-// scripts/check.sh --sanitize.
+// reads all race on one cache. Run under TSan by scripts/check.sh
+// --sanitize.
 TEST(EvalCacheChurnTest, ConcurrentLookupInsertSpillChurn) {
-  ShardedEvalCache cache(EvalCacheOptions{.num_shards = 4,
-                                          .enable_filter = true,
-                                          .filter_bits_per_entry = 8});
+  ShardedEvalCache cache(EvalCacheOptions{.num_shards = 4});
   constexpr int kThreads = 8;
   constexpr uint32_t kMasks = 1024;
   std::atomic<bool> stop{false};

@@ -304,6 +304,30 @@ TEST(DfsServerTest, RouterVerbReportsRoutingState) {
   EXPECT_EQ(GetNumber(response, "routes.sffs_nr").value_or(-1), 1.0);
 }
 
+// The `cache` verb reports the shared eval-cache registry: an identical
+// resubmit is served from the first job's published evaluations.
+TEST(DfsServerTest, CacheVerbReportsSharedCacheCounters) {
+  auto server = MakeServer(/*workers=*/1, /*capacity=*/4);
+  for (int run = 0; run < 2; ++run) {
+    auto id = server->Submit(EasyJob());
+    ASSERT_TRUE(id.ok());
+    ASSERT_TRUE(server->WaitForTerminal(*id, 60.0).ok());
+  }
+
+  JsonObject response =
+      ParseJsonLine(Dispatch(*server, R"({"op":"cache"})").response)
+          .value_or(JsonObject{});
+  std::vector<std::string> keys;
+  for (const auto& [key, value] : response) keys.push_back(key);
+  EXPECT_EQ(keys, (std::vector<std::string>{
+                      "caches", "entries", "hits", "inserts", "misses", "ok",
+                      "restores", "shard_entries", "spills"}));
+  EXPECT_TRUE(GetBool(response, "ok").value_or(false));
+  EXPECT_GE(GetNumber(response, "hits").value_or(-1), 1.0);
+  EXPECT_EQ(GetNumber(response, "inserts").value_or(-1),
+            GetNumber(response, "entries").value_or(-2));
+}
+
 TEST(DfsServerTest, PriorityJobsOvertakeTheQueue) {
   auto server = MakeServer(/*workers=*/1, /*capacity=*/8);
   auto head = server->Submit(EndlessJob(30.0));
