@@ -1,6 +1,7 @@
 #include "core/engine.h"
 
 #include <algorithm>
+#include <unordered_set>
 
 #include "metrics/classification.h"
 #include "metrics/fairness.h"
@@ -316,74 +317,52 @@ void DfsEngine::RecordOutcome(const fs::FeatureMask& mask,
   }
 }
 
-void DfsEngine::EvaluateSlot(const fs::FeatureMask& mask, BatchSlot& slot) {
-  if (deadline_.Expired() || ExternallyCancelled()) {
-    slot.kind = SlotKind::kSkipped;
-    return;
-  }
+bool DfsEngine::DispatchSlot(const fs::FeatureMask& mask, BatchSlot& slot) {
+  if (deadline_.Expired() || ExternallyCancelled()) return false;
   if (static_cast<int>(mask.size()) != num_features()) {
     DFS_LOG(WARNING) << "mask size mismatch";
-    slot.kind = SlotKind::kSkipped;
-    return;
+    return false;
   }
-  const std::vector<int> features = fs::MaskToIndices(mask);
-  if (features.empty()) {
-    slot.kind = SlotKind::kSkipped;
-    return;
+  if (fs::CountSelected(mask) == 0) return false;
+  if (options_.enable_eval_cache && memo_.contains(mask)) {
+    slot.kind = SlotKind::kMemo;
+    return false;
   }
-
-  if (options_.enable_eval_cache) {
-    switch (cache_.Acquire(mask, &slot.result.outcome)) {
-      case ShardedEvalCache::Acquired::kHit:
-        slot.kind = SlotKind::kCacheHit;
-        return;
-      case ShardedEvalCache::Acquired::kAbandoned:
-        // The concurrent owner failed; training is deterministic per mask,
-        // so retrying would fail the same way. Report unevaluated.
-        slot.kind = SlotKind::kAbandoned;
-        return;
-      case ShardedEvalCache::Acquired::kOwner:
-        break;
-    }
-    // We own the in-flight L1 slot from here: the guard abandons it if we
-    // unwind without resolving, so waiters never block behind a dead owner.
-    ShardedEvalCache::OwnerGuard owner(&cache_, mask);
-
-    // L2: the shared cross-run cache, keyed to this evaluation context by
-    // the serve layer. Lookup never blocks (a pending entry reads as a
-    // miss), so holding L1 ownership across this probe cannot deadlock.
-    ShardedEvalCache* shared = options_.shared_cache.get();
-    if (shared != nullptr && shared->Lookup(mask, &slot.result.outcome)) {
-      owner.Publish(slot.result.outcome);
-      slot.kind = SlotKind::kSharedHit;
-      return;
-    }
-
-    slot.result = EvaluateUncached(mask, features);
-    if (slot.result.outcome.evaluated) {
-      owner.Publish(slot.result.outcome);
-      if (shared != nullptr) shared->InsertPublished(mask, slot.result.outcome);
-    } else {
-      owner.Abandon();  // failed trainings are not cached
-    }
-    slot.kind = slot.result.outcome.evaluated ? SlotKind::kEvaluated
-                                              : SlotKind::kSkipped;
-    return;
-  }
-
-  slot.result = EvaluateUncached(mask, features);
-  slot.kind = slot.result.outcome.evaluated ? SlotKind::kEvaluated
-                                            : SlotKind::kSkipped;
+  return true;
 }
 
-void DfsEngine::ReduceSlot(const fs::FeatureMask& mask, const BatchSlot& slot,
+void DfsEngine::EvaluateSlot(const fs::FeatureMask& mask, BatchSlot& slot) {
+  if (deadline_.Expired() || ExternallyCancelled()) return;
+
+  // L2: the shared cross-run cache, keyed to this evaluation context by
+  // the serve layer.
+  ShardedEvalCache* shared =
+      options_.enable_eval_cache ? options_.shared_cache.get() : nullptr;
+  if (shared != nullptr && shared->Lookup(mask, &slot.result.outcome)) {
+    slot.kind = SlotKind::kSharedHit;
+    return;
+  }
+
+  slot.result = EvaluateUncached(mask, fs::MaskToIndices(mask));
+  if (!slot.result.outcome.evaluated) return;  // failed training: kSkipped
+  if (shared != nullptr) shared->InsertPublished(mask, slot.result.outcome);
+  slot.kind = SlotKind::kEvaluated;
+}
+
+void DfsEngine::ReduceSlot(const fs::FeatureMask& mask, BatchSlot& slot,
                            bool parallel) {
   EngineMetrics& metrics = EngineMetrics::Get();
   switch (slot.kind) {
-    case SlotKind::kCacheHit:
+    case SlotKind::kMemo: {
+      // Absent when the earlier occurrence was not evaluated (failed
+      // training, or skipped by the deadline): unevaluated, not a hit.
+      auto it = memo_.find(mask);
+      if (it == memo_.end()) break;
+      slot.result.outcome = it->second;
       ++result_.cache_hits;
       metrics.cache_hits.Increment();
       break;
+    }
     case SlotKind::kSharedHit:
       // A hit for the counters, but the mask is new to this run, so the
       // outcome still drives best-subset tracking and success recording —
@@ -391,20 +370,21 @@ void DfsEngine::ReduceSlot(const fs::FeatureMask& mask, const BatchSlot& slot,
       ++result_.cache_hits;
       metrics.cache_hits.Increment();
       RecordOutcome(mask, slot.result, /*charge_evaluation=*/false);
+      memo_.emplace(mask, slot.result.outcome);
       break;
     case SlotKind::kEvaluated:
       if (parallel) metrics.parallel_evaluations.Increment();
       RecordOutcome(mask, slot.result, /*charge_evaluation=*/true);
+      if (options_.enable_eval_cache) memo_.emplace(mask, slot.result.outcome);
       break;
     case SlotKind::kSkipped:
-    case SlotKind::kAbandoned:
       break;
   }
 }
 
 fs::EvalOutcome DfsEngine::Evaluate(const fs::FeatureMask& mask) {
   BatchSlot slot;
-  EvaluateSlot(mask, slot);
+  if (DispatchSlot(mask, slot)) EvaluateSlot(mask, slot);
   ReduceSlot(mask, slot, /*parallel=*/false);
   return slot.result.outcome;
 }
@@ -423,9 +403,19 @@ std::vector<fs::EvalOutcome> DfsEngine::EvaluateBatch(
     return outcomes;
   }
 
+  // Dispatch on the calling thread. A repeat of a mask scheduled earlier
+  // in this batch is not scheduled again: it resolves from the memo during
+  // the reduction, so the first occurrence in submission order owns the
+  // evaluation exactly as in a serial sweep.
   EnsurePool();
   std::vector<BatchSlot> slots(masks.size());
+  std::unordered_set<fs::FeatureMask, fs::MaskHasher> scheduled;
   for (size_t i = 0; i < masks.size(); ++i) {
+    if (!DispatchSlot(masks[i], slots[i])) continue;
+    if (options_.enable_eval_cache && !scheduled.insert(masks[i]).second) {
+      slots[i].kind = SlotKind::kMemo;
+      continue;
+    }
     pool_->Schedule([this, &mask = masks[i], &slot = slots[i]] {
       EvaluateSlot(mask, slot);
     });
@@ -478,7 +468,7 @@ StatusOr<std::vector<double>> DfsEngine::FittedImportances(
 RunResult DfsEngine::Run(fs::FeatureSelectionStrategy& strategy) {
   // Reset per-run state.
   result_ = RunResult();
-  cache_.Clear();
+  memo_.clear();
   success_found_ = false;
   best_objective_ = 1e18;
   cancel_observed_.reset();

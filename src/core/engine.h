@@ -5,6 +5,7 @@
 #include <memory>
 #include <optional>
 #include <span>
+#include <unordered_map>
 #include <vector>
 
 #include "core/eval_cache.h"
@@ -49,12 +50,12 @@ struct EngineOptions {
   /// returns within one wrapper evaluation. Used by the serve subsystem to
   /// cancel RUNNING jobs.
   std::shared_ptr<std::atomic<bool>> stop_token;
-  /// Optional shared L2 cache consulted behind the engine's private
-  /// per-run cache: on an L1 miss the owner probes it (non-blocking
-  /// Lookup) before training, and publishes fresh outcomes back into it.
+  /// Optional shared L2 cache consulted behind the engine's per-run memo:
+  /// a mask new to the run is probed here (non-blocking Lookup) before
+  /// training, and fresh outcomes are published back into it.
   /// The caller owns keying — attach only a cache whose fingerprint
   /// matches this engine's evaluation context (dataset, model, constraint
-  /// set, seed; see EvalCacheOptions::fingerprint), because outcomes are
+  /// set, seed; see ShardedEvalCache's constructor), because outcomes are
   /// reused verbatim. Ignored when enable_eval_cache is false. Used by
   /// dfs::serve to share evaluations across jobs and daemon restarts.
   std::shared_ptr<ShardedEvalCache> shared_cache;
@@ -147,17 +148,18 @@ class DfsEngine : public fs::EvalContext {
     bool have_test_values = false;
   };
 
-  /// How one slot of a parallel batch resolved; consumed by the in-order
-  /// reduction. kSharedHit is a first-in-run mask served from the shared
-  /// L2 cache: a cache hit for the counters, but — unlike an L1 kCacheHit,
-  /// whose mask was already reduced this run — it still flows through
-  /// RecordOutcome for best-subset tracking and success recording.
+  /// How one batch slot resolved; consumed by the in-order reduction.
+  /// kMemo is a mask already in the run memo, or scheduled earlier in the
+  /// same batch: the reduction resolves it by memo lookup, as a cache hit
+  /// when the earlier occurrence produced an outcome and as unevaluated
+  /// otherwise. kSharedHit is a mask new to the run served from the shared
+  /// L2 cache: a cache hit for the counters that, unlike kMemo, still flows
+  /// through RecordOutcome for best-subset tracking and success recording.
   enum class SlotKind {
     kSkipped,
     kEvaluated,
-    kCacheHit,
+    kMemo,
     kSharedHit,
-    kAbandoned,
   };
 
   struct BatchSlot {
@@ -242,14 +244,21 @@ class DfsEngine : public fs::EvalContext {
   void RecordOutcome(const fs::FeatureMask& mask, const EvaluatedMask& result,
                      bool charge_evaluation);
 
-  /// Worker body of one parallel batch slot (deadline/cancel check, cache
-  /// acquire, evaluate, publish).
+  /// Caller-thread triage of one mask before any work is scheduled:
+  /// deadline, cancellation, mask width, empty mask, then the run memo.
+  /// Returns true when the mask must be evaluated; otherwise `slot` is
+  /// left kSkipped or marked kMemo.
+  bool DispatchSlot(const fs::FeatureMask& mask, BatchSlot& slot);
+
+  /// Worker body of one scheduled slot: shared-L2 probe, or evaluate and
+  /// publish to L2. Re-checks the deadline and cancellation so a long
+  /// batch stops promptly. Touches no per-run state.
   void EvaluateSlot(const fs::FeatureMask& mask, BatchSlot& slot);
 
-  /// Applies one resolved slot to the per-run state (cache-hit accounting
-  /// or RecordOutcome). Caller-thread only, in submission order.
-  void ReduceSlot(const fs::FeatureMask& mask, const BatchSlot& slot,
-                  bool parallel);
+  /// Applies one slot to the per-run state (memo resolution, cache-hit
+  /// accounting, memo insertion, RecordOutcome). Caller-thread only, in
+  /// submission order.
+  void ReduceSlot(const fs::FeatureMask& mask, BatchSlot& slot, bool parallel);
 
   /// Lazily creates the batch pool (first parallel batch of the engine's
   /// lifetime).
@@ -278,7 +287,9 @@ class DfsEngine : public fs::EvalContext {
   bool success_found_ = false;
   RunResult result_;
   double best_objective_ = 1e18;
-  ShardedEvalCache cache_;
+  /// Per-run evaluation memo (EngineOptions::enable_eval_cache): outcomes
+  /// of evaluated and shared-hit masks. Calling thread only.
+  std::unordered_map<fs::FeatureMask, fs::EvalOutcome, fs::MaskHasher> memo_;
 
   // dfs::obs instrumentation (see DESIGN.md §2c). Per-strategy handles are
   // looked up once per Run ("strategy.<label>.*"); null between runs.

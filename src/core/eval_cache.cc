@@ -1,13 +1,11 @@
 #include "core/eval_cache.h"
 
-#include <algorithm>
 #include <cstring>
 #include <fstream>
 #include <sstream>
 
 #include "core/suite_version.h"
 #include "obs/metrics.h"
-#include "util/logging.h"
 
 namespace dfs::core {
 namespace {
@@ -190,55 +188,6 @@ bool ReadEntry(Reader* reader, fs::FeatureMask* mask,
 // ---------------------------------------------------------------------------
 // ShardedEvalCache
 
-ShardedEvalCache::ShardedEvalCache(EvalCacheOptions options)
-    : options_(options),
-      shards_(std::max(1, options.num_shards)) {
-  options_.num_shards = static_cast<int>(shards_.size());
-}
-
-ShardedEvalCache::Acquired ShardedEvalCache::Acquire(
-    const fs::FeatureMask& mask, fs::EvalOutcome* outcome) {
-  Shard& shard = ShardFor(mask);
-  util::MutexLock lock(shard.mu);
-  auto it = shard.entries.find(mask);
-  if (it == shard.entries.end()) {
-    shard.entries.emplace(mask, std::make_shared<Entry>());
-    return Acquired::kOwner;
-  }
-  // Hold our own reference: Abandon() erases the map slot while we wait.
-  std::shared_ptr<Entry> entry = it->second;
-  while (!entry->ready && !entry->abandoned) shard.resolved.Wait(lock);
-  if (entry->abandoned) return Acquired::kAbandoned;
-  *outcome = entry->outcome;
-  return Acquired::kHit;
-}
-
-void ShardedEvalCache::Publish(const fs::FeatureMask& mask,
-                               const fs::EvalOutcome& outcome) {
-  Shard& shard = ShardFor(mask);
-  {
-    util::MutexLock lock(shard.mu);
-    auto it = shard.entries.find(mask);
-    DFS_CHECK(it != shard.entries.end()) << "Publish without Acquire";
-    DFS_CHECK(!it->second->ready) << "Publish twice";
-    it->second->outcome = outcome;
-    it->second->ready = true;
-  }
-  shard.resolved.NotifyAll();
-}
-
-void ShardedEvalCache::Abandon(const fs::FeatureMask& mask) {
-  Shard& shard = ShardFor(mask);
-  {
-    util::MutexLock lock(shard.mu);
-    auto it = shard.entries.find(mask);
-    DFS_CHECK(it != shard.entries.end()) << "Abandon without Acquire";
-    it->second->abandoned = true;
-    shard.entries.erase(it);
-  }
-  shard.resolved.NotifyAll();
-}
-
 bool ShardedEvalCache::Lookup(const fs::FeatureMask& mask,
                               fs::EvalOutcome* outcome) {
   CacheMetrics& metrics = CacheMetrics::Get();
@@ -247,9 +196,8 @@ bool ShardedEvalCache::Lookup(const fs::FeatureMask& mask,
   {
     util::MutexLock lock(shard.mu);
     auto it = shard.entries.find(mask);
-    // Pending entries read as a miss: Lookup never blocks.
-    if (it != shard.entries.end() && it->second->ready) {
-      *outcome = it->second->outcome;
+    if (it != shard.entries.end()) {
+      *outcome = it->second;
       hit = true;
     }
   }
@@ -266,30 +214,16 @@ bool ShardedEvalCache::Lookup(const fs::FeatureMask& mask,
 bool ShardedEvalCache::InsertPublished(const fs::FeatureMask& mask,
                                        const fs::EvalOutcome& outcome) {
   Shard& shard = ShardFor(mask);
-  bool inserted = false;
+  bool inserted;
   {
     util::MutexLock lock(shard.mu);
-    auto [it, fresh] = shard.entries.try_emplace(mask);
-    if (fresh) {
-      auto entry = std::make_shared<Entry>();
-      entry->ready = true;
-      entry->outcome = outcome;
-      it->second = std::move(entry);
-      inserted = true;
-    }
+    inserted = shard.entries.try_emplace(mask, outcome).second;
   }
   if (inserted) {
     inserts_.fetch_add(1, std::memory_order_relaxed);
     CacheMetrics::Get().inserts.Increment();
   }
   return inserted;
-}
-
-void ShardedEvalCache::Clear() {
-  for (Shard& shard : shards_) {
-    util::MutexLock lock(shard.mu);
-    shard.entries.clear();
-  }
 }
 
 size_t ShardedEvalCache::size() const {
@@ -307,7 +241,7 @@ EvalCacheStats ShardedEvalCache::Stats() const {
   stats.misses = misses_.load(std::memory_order_relaxed);
   stats.inserts = inserts_.load(std::memory_order_relaxed);
   stats.caches = 1;
-  stats.shard_entries.reserve(shards_.size());
+  stats.shard_entries.reserve(kNumShards);
   for (const Shard& shard : shards_) {
     util::MutexLock lock(shard.mu);
     stats.shard_entries.push_back(shard.entries.size());
@@ -322,9 +256,8 @@ std::string ShardedEvalCache::Serialize() const {
   uint64_t entry_count = 0;
   for (const Shard& shard : shards_) {
     util::MutexLock lock(shard.mu);
-    for (const auto& [mask, entry] : shard.entries) {
-      if (!entry->ready) continue;  // pending: no outcome to spill yet
-      AppendEntry(&payload, mask, entry->outcome);
+    for (const auto& [mask, outcome] : shard.entries) {
+      AppendEntry(&payload, mask, outcome);
       ++entry_count;
     }
   }
@@ -334,7 +267,7 @@ std::string ShardedEvalCache::Serialize() const {
   AppendU32(&blob, kEvalCacheFormatVersion);
   AppendU32(&blob, 0);  // reserved
   AppendU64(&blob, kSuiteVersion);
-  AppendU64(&blob, options_.fingerprint);
+  AppendU64(&blob, fingerprint_);
   AppendU64(&blob, entry_count);
   AppendU64(&blob, Fnv1a(payload.data(), payload.size()));
   blob += payload;
@@ -367,11 +300,11 @@ Status ShardedEvalCache::RestoreState(const std::string& blob) {
         " != current " + std::to_string(kSuiteVersion) +
         " (evaluation semantics changed; delete the spill)");
   }
-  if (fingerprint != options_.fingerprint) {
+  if (fingerprint != fingerprint_) {
     return FailedPreconditionError(
         "stale eval-cache spill: context fingerprint mismatch (spill " +
         std::to_string(fingerprint) + ", cache " +
-        std::to_string(options_.fingerprint) +
+        std::to_string(fingerprint_) +
         "); outcomes from a different dataset/model/constraint context "
         "must not be merged");
   }
@@ -422,38 +355,15 @@ Status ShardedEvalCache::RestoreState(const std::string& blob) {
   return OkStatus();
 }
 
-Status ShardedEvalCache::SaveToFile(const std::string& path) const {
-  const std::string blob = Serialize();
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out) return InternalError("cannot write file: " + path);
-  out.write(blob.data(), static_cast<std::streamsize>(blob.size()));
-  if (!out) return InternalError("short write: " + path);
-  CacheMetrics::Get().spills.Increment();
-  return OkStatus();
-}
-
-Status ShardedEvalCache::LoadFromFile(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return NotFoundError("cannot open file: " + path);
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return RestoreState(buffer.str());
-}
-
 // ---------------------------------------------------------------------------
 // EvalCacheRegistry
-
-EvalCacheRegistry::EvalCacheRegistry(EvalCacheOptions defaults)
-    : defaults_(defaults) {}
 
 std::shared_ptr<ShardedEvalCache> EvalCacheRegistry::GetOrCreate(
     uint64_t fingerprint) {
   util::MutexLock lock(mu_);
   auto it = caches_.find(fingerprint);
   if (it != caches_.end()) return it->second;
-  EvalCacheOptions options = defaults_;
-  options.fingerprint = fingerprint;
-  auto cache = std::make_shared<ShardedEvalCache>(options);
+  auto cache = std::make_shared<ShardedEvalCache>(fingerprint);
   caches_.emplace(fingerprint, cache);
   return cache;
 }
@@ -551,9 +461,7 @@ StatusOr<size_t> EvalCacheRegistry::RestoreFromString(
         !header.ReadU64(&suite) || !header.ReadU64(&fingerprint)) {
       return InvalidArgumentError("truncated member spill in " + source);
     }
-    EvalCacheOptions probe_options = defaults_;
-    probe_options.fingerprint = fingerprint;
-    ShardedEvalCache probe(probe_options);
+    ShardedEvalCache probe(fingerprint);
     DFS_RETURN_IF_ERROR(probe.RestoreState(blob));
   }
   size_t restored = 0;

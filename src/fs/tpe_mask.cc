@@ -9,8 +9,9 @@ void TpeMaskStrategy::Run(EvalContext& context) {
     // Propose a round of masks up front (speculative batching: later
     // proposals in the round do not see the earlier ones' losses), then
     // evaluate them as one batch and record every result in order.
-    // Duplicate proposals within a round cost nothing extra: the engine's
-    // cache deduplicates in-flight work.
+    // Duplicate proposals within a round cost nothing extra: the engine
+    // schedules only the first occurrence and serves repeats from its
+    // per-run memo.
     std::vector<FeatureMask> proposals;
     proposals.reserve(proposal_batch_);
     for (int i = 0; i < proposal_batch_; ++i) {

@@ -200,7 +200,7 @@ std::string HandleRouter(DfsServer& server) {
 /// The "cache" verb: the shared eval-cache registry's aggregated counters
 /// and occupancy (docs/PROTOCOL.md "cache"). Counters cover the shared
 /// surface only — Lookup/InsertPublished and spill/restore; the engine's
-/// private in-flight dedup keeps its accounting in "engine.cache_hits".
+/// per-run memo keeps its accounting in "engine.cache_hits".
 std::string HandleCache(DfsServer& server) {
   const core::EvalCacheStats stats = server.eval_caches().Stats();
   obs::MetricsRegistry::Global().gauge("cache.entries").Set(

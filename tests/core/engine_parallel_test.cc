@@ -1,18 +1,15 @@
-// Determinism and concurrency tests for the parallel evaluation engine:
-// EvaluateBatch must select byte-identical masks (and identical evaluation
-// and cache-hit totals) at any thread count, and the sharded cache must
-// survive concurrent acquire/publish/abandon traffic.
+// Determinism tests for the parallel evaluation engine: EvaluateBatch must
+// select byte-identical masks (and identical evaluation and cache-hit
+// totals, and the same trace) at any thread count, including batches that
+// hold a mask more than once.
 
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <chrono>
-#include <thread>
+#include <string>
 #include <utility>
 #include <vector>
 
 #include "core/engine.h"
-#include "core/eval_cache.h"
 #include "core/scenario.h"
 #include "fs/registry.h"
 #include "testing/test_util.h"
@@ -89,7 +86,7 @@ TEST(EngineParallelTest, ExhaustiveDeterministic) {
 
 // EvaluateBatch outcomes must be positionally identical to a serial
 // Evaluate loop over the same masks (including the duplicate mask, which
-// the parallel path serves through in-flight deduplication).
+// the parallel path resolves from the run memo during the reduction).
 TEST(EngineParallelTest, BatchMatchesSerialEvaluateLoop) {
   const MlScenario scenario = MakeTestScenario(GenerousSet(0.999));
   EngineOptions options;
@@ -133,127 +130,67 @@ TEST(EngineParallelTest, BatchMatchesSerialEvaluateLoop) {
   }
 }
 
-// ---- ShardedEvalCache ------------------------------------------------
-
-fs::EvalOutcome OutcomeFor(const fs::FeatureMask& mask) {
-  fs::EvalOutcome outcome;
-  outcome.evaluated = true;
-  outcome.objective = static_cast<double>(fs::MaskHash(mask) % 1000);
-  return outcome;
-}
-
-// Many threads race Acquire/Publish over a small overlapping mask set:
-// every thread must come back with the mask's canonical outcome whether it
-// was the owner or a (possibly blocked) hit, and owner/hit totals must
-// reconcile to exactly one owner per distinct mask.
-TEST(ShardedEvalCacheTest, ConcurrentAcquirePublish) {
-  constexpr int kThreads = 8;
-  constexpr int kMasks = 32;
-  constexpr int kRounds = 40;
-  ShardedEvalCache cache(core::EvalCacheOptions{.num_shards = 4});
-
-  std::vector<fs::FeatureMask> masks;
-  for (int m = 0; m < kMasks; ++m) {
-    masks.push_back(fs::IndicesToMask(64, {m, (m * 7 + 1) % 64}));
+// A strategy that submits one batch holding mask A twice: [A, B, A].
+class DuplicateBatchStrategy : public fs::FeatureSelectionStrategy {
+ public:
+  DuplicateBatchStrategy(const fs::FeatureMask& a, const fs::FeatureMask& b)
+      : masks_{a, b, a} {}
+  std::string name() const override { return "duplicate-batch"; }
+  fs::StrategyInfo info() const override { return {}; }
+  void Run(fs::EvalContext& context) override {
+    context.EvaluateBatch(masks_);
   }
 
-  std::atomic<int> owners{0};
-  std::atomic<int> hits{0};
-  std::atomic<int> mismatches{0};
-  std::vector<std::thread> threads;
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&, t] {
-      for (int round = 0; round < kRounds; ++round) {
-        // Each thread walks the masks at a different stride so owners and
-        // waiters interleave.
-        const auto& mask = masks[(round * (t + 1) + t) % kMasks];
-        fs::EvalOutcome hit;
-        switch (cache.Acquire(mask, &hit)) {
-          case ShardedEvalCache::Acquired::kOwner:
-            owners.fetch_add(1);
-            cache.Publish(mask, OutcomeFor(mask));
-            break;
-          case ShardedEvalCache::Acquired::kHit:
-            hits.fetch_add(1);
-            if (hit.objective != OutcomeFor(mask).objective) {
-              mismatches.fetch_add(1);
-            }
-            break;
-          case ShardedEvalCache::Acquired::kAbandoned:
-            ADD_FAILURE() << "unexpected abandonment";
-            break;
-        }
-      }
-    });
-  }
-  for (auto& thread : threads) thread.join();
+ private:
+  std::vector<fs::FeatureMask> masks_;
+};
 
-  EXPECT_EQ(mismatches.load(), 0);
-  // Every distinct mask is owned exactly once; everything else is a hit.
-  EXPECT_EQ(owners.load(), kMasks);
-  EXPECT_EQ(owners.load() + hits.load(), kThreads * kRounds);
-  EXPECT_EQ(cache.size(), static_cast<size_t>(kMasks));
-}
+// With A and B both satisfying the constraints, the first occurrence of A
+// in submission order must own its evaluation and the first success, and
+// the repeat must be a cache hit — whichever worker finishes first. The
+// 4-thread run is repeated to give the scheduler many chances to finish
+// the repeat's slot before the first one.
+TEST(EngineParallelTest, DuplicateInBatchReducesLikeSerial) {
+  const MlScenario scenario = MakeTestScenario(GenerousSet(0.5));
+  const fs::FeatureMask a = fs::FullMask(scenario.split.train.num_features());
+  fs::FeatureMask b = a;
+  b.back() = 0;
 
-// Abandoned entries must not poison the cache: waiters observe the
-// abandonment, and the next Acquire for that mask becomes a fresh owner.
-TEST(ShardedEvalCacheTest, AbandonReleasesWaitersAndMask) {
-  ShardedEvalCache cache;
-  const fs::FeatureMask mask = fs::IndicesToMask(16, {2, 5});
+  auto run = [&](int num_threads) {
+    EngineOptions options;
+    options.seed = 77;
+    options.num_threads = num_threads;
+    options.record_trace = true;
+    DfsEngine engine(scenario, options);
+    DuplicateBatchStrategy strategy(a, b);
+    return engine.Run(strategy);
+  };
 
-  fs::EvalOutcome scratch;
-  ASSERT_EQ(cache.Acquire(mask, &scratch),
-            ShardedEvalCache::Acquired::kOwner);
+  const RunResult serial = run(1);
+  ASSERT_EQ(serial.trace.size(), 2u);
+  ASSERT_TRUE(serial.trace[0].success);  // A
+  ASSERT_TRUE(serial.trace[1].success);  // B
 
-  std::atomic<int> abandoned_seen{0};
-  std::thread waiter([&] {
-    fs::EvalOutcome hit;
-    switch (cache.Acquire(mask, &hit)) {
-      case ShardedEvalCache::Acquired::kAbandoned:
-        abandoned_seen.fetch_add(1);
-        break;
-      case ShardedEvalCache::Acquired::kOwner:
-        // Lost the startup race (Abandon ran before this Acquire): release
-        // the fresh ownership so the re-acquire below cannot block.
-        cache.Abandon(mask);
-        break;
-      case ShardedEvalCache::Acquired::kHit:
-        ADD_FAILURE() << "unexpected hit";
-        break;
+  for (int repeat = 0; repeat <= 50; ++repeat) {
+    // Repeat 0 is the serial run itself; the rest run on 4 threads.
+    const RunResult result = repeat == 0 ? serial : run(4);
+    SCOPED_TRACE(repeat == 0 ? "serial" : "parallel run " +
+                                             std::to_string(repeat));
+    EXPECT_EQ(result.selected, a);
+    EXPECT_EQ(result.evaluations, 2);
+    EXPECT_EQ(result.cache_hits, 1);
+    ASSERT_EQ(result.trace.size(), serial.trace.size());
+    for (size_t i = 0; i < serial.trace.size(); ++i) {
+      // Timestamps are wall clock; every other field must match.
+      const TracePoint& want = serial.trace[i];
+      const TracePoint& got = result.trace[i];
+      EXPECT_EQ(got.selected_features, want.selected_features) << i;
+      EXPECT_EQ(got.objective, want.objective) << i;
+      EXPECT_EQ(got.distance, want.distance) << i;
+      EXPECT_EQ(got.satisfied_validation, want.satisfied_validation) << i;
+      EXPECT_EQ(got.success, want.success) << i;
     }
-  });
-  // Give the waiter time to park in Acquire's wait before abandoning, so
-  // the abandonment-wakes-waiters path is what actually runs.
-  std::this_thread::sleep_for(std::chrono::milliseconds(100));
-  cache.Abandon(mask);
-  waiter.join();
-  EXPECT_EQ(abandoned_seen.load(), 1);
-  EXPECT_EQ(cache.size(), 0u);
-
-  // The mask is re-ownable after abandonment and publishes normally.
-  ASSERT_EQ(cache.Acquire(mask, &scratch),
-            ShardedEvalCache::Acquired::kOwner);
-  cache.Publish(mask, OutcomeFor(mask));
-  EXPECT_EQ(cache.Acquire(mask, &scratch),
-            ShardedEvalCache::Acquired::kHit);
-  EXPECT_DOUBLE_EQ(scratch.objective, OutcomeFor(mask).objective);
-}
-
-TEST(ShardedEvalCacheTest, ClearResetsAllShards) {
-  ShardedEvalCache cache(core::EvalCacheOptions{.num_shards = 3});
-  fs::EvalOutcome scratch;
-  for (int m = 0; m < 10; ++m) {
-    const fs::FeatureMask mask = fs::IndicesToMask(16, {m});
-    ASSERT_EQ(cache.Acquire(mask, &scratch),
-              ShardedEvalCache::Acquired::kOwner);
-    cache.Publish(mask, OutcomeFor(mask));
   }
-  EXPECT_EQ(cache.size(), 10u);
-  cache.Clear();
-  EXPECT_EQ(cache.size(), 0u);
-  EXPECT_EQ(cache.Acquire(fs::IndicesToMask(16, {3}), &scratch),
-            ShardedEvalCache::Acquired::kOwner);
-  cache.Abandon(fs::IndicesToMask(16, {3}));
 }
 
 }  // namespace

@@ -4,7 +4,9 @@
 
 #include <atomic>
 #include <memory>
+#include <string>
 #include <utility>
+#include <vector>
 
 #include "core/scenario.h"
 #include "fs/registry.h"
@@ -144,19 +146,48 @@ TEST(DfsEngineTest, UnsetStopTokenDoesNotCancel) {
   EXPECT_TRUE(result.success);
 }
 
+// The evaluation memo is per run: within a run a repeated Evaluate is a
+// hit with an equal outcome, and a second Run on the same engine starts
+// cold, evaluating the mask again.
 TEST(DfsEngineTest, EvaluationCacheHitsOnRepeatedMask) {
-  const MlScenario scenario = MakeTestScenario(EasySet());
-  EngineOptions options;
-  DfsEngine engine(scenario, options);
-  // SBS re-evaluates overlapping masks rarely, so drive Evaluate directly.
-  engine.Run(*fs::CreateStrategy(fs::StrategyId::kOriginalFeatureSet, 4));
-  const fs::FeatureMask mask = fs::FullMask(6);
-  const fs::EvalOutcome first = engine.Evaluate(mask);
-  (void)first;
-  // Second Run resets the cache; within one run, repeated Evaluate hits.
-  DfsEngine fresh(scenario, options);
-  fresh.Run(*fs::CreateStrategy(fs::StrategyId::kOriginalFeatureSet, 4));
-  (void)fresh;
+  class EvaluateFullMask : public fs::FeatureSelectionStrategy {
+   public:
+    explicit EvaluateFullMask(int repeats) : repeats_(repeats) {}
+    std::string name() const override { return "evaluate-full-mask"; }
+    fs::StrategyInfo info() const override { return {}; }
+    void Run(fs::EvalContext& context) override {
+      for (int i = 0; i < repeats_; ++i) {
+        outcomes.push_back(
+            context.Evaluate(fs::FullMask(context.num_features())));
+      }
+    }
+    std::vector<fs::EvalOutcome> outcomes;
+
+   private:
+    int repeats_;
+  };
+
+  DfsEngine engine(MakeTestScenario(EasySet()), EngineOptions());
+  EvaluateFullMask twice(2);
+  const RunResult first = engine.Run(twice);
+  EXPECT_EQ(first.evaluations, 1);
+  EXPECT_EQ(first.cache_hits, 1);
+  ASSERT_EQ(twice.outcomes.size(), 2u);
+  const fs::EvalOutcome& evaluated = twice.outcomes[0];
+  const fs::EvalOutcome& hit = twice.outcomes[1];
+  EXPECT_TRUE(evaluated.evaluated);
+  EXPECT_EQ(hit.evaluated, evaluated.evaluated);
+  EXPECT_EQ(hit.success, evaluated.success);
+  EXPECT_EQ(hit.satisfied_validation, evaluated.satisfied_validation);
+  EXPECT_EQ(hit.objective, evaluated.objective);
+  EXPECT_EQ(hit.distance, evaluated.distance);
+  EXPECT_EQ(hit.seconds, evaluated.seconds);
+  EXPECT_EQ(hit.validation.f1, evaluated.validation.f1);
+
+  EvaluateFullMask once(1);
+  const RunResult second = engine.Run(once);
+  EXPECT_EQ(second.evaluations, 1);
+  EXPECT_EQ(second.cache_hits, 0);
 }
 
 TEST(DfsEngineTest, CacheCountsRecorded) {

@@ -1,7 +1,6 @@
 // Shared-eval-cache tests: spill/restore round-trip byte-identity,
-// rejection of corrupt/truncated/stale spills, the non-blocking Lookup
-// contract and its hit/miss accounting, the OwnerGuard dead-owner
-// regression, registry persistence, engine L2 integration, and a
+// rejection of corrupt/truncated/stale spills, the Lookup contract and its
+// hit/miss accounting, registry persistence, engine L2 integration, and a
 // concurrent lookup/insert/spill churn test for the TSan fleet.
 
 #include "core/eval_cache.h"
@@ -9,7 +8,6 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <chrono>
 #include <cstdio>
 #include <memory>
 #include <string>
@@ -98,14 +96,14 @@ void PatchU32(std::string* blob, size_t offset, uint32_t value) {
 }
 
 TEST(EvalCacheSpillTest, RoundTripIsByteIdentical) {
-  ShardedEvalCache source(EvalCacheOptions{.fingerprint = 0xFEEDULL});
+  ShardedEvalCache source(0xFEEDULL);
   constexpr uint32_t kEntries = 257;
   for (uint32_t id = 0; id < kEntries; ++id) {
     EXPECT_TRUE(source.InsertPublished(MaskFor(id), OutcomeFor(id)));
   }
   const std::string blob = source.Serialize();
 
-  ShardedEvalCache restored(EvalCacheOptions{.fingerprint = 0xFEEDULL});
+  ShardedEvalCache restored(0xFEEDULL);
   ASSERT_TRUE(restored.RestoreState(blob).ok());
   EXPECT_EQ(restored.size(), kEntries);
   for (uint32_t id = 0; id < kEntries; ++id) {
@@ -113,19 +111,6 @@ TEST(EvalCacheSpillTest, RoundTripIsByteIdentical) {
     ASSERT_TRUE(restored.Lookup(MaskFor(id), &got)) << "entry " << id;
     ExpectOutcomeEq(OutcomeFor(id), got, id);
   }
-}
-
-TEST(EvalCacheSpillTest, PendingEntriesAreNotSpilled) {
-  ShardedEvalCache cache;
-  EXPECT_TRUE(cache.InsertPublished(MaskFor(1), OutcomeFor(1)));
-  fs::EvalOutcome scratch;
-  ASSERT_EQ(cache.Acquire(MaskFor(2), &scratch),
-            ShardedEvalCache::Acquired::kOwner);  // left pending
-
-  ShardedEvalCache restored;
-  ASSERT_TRUE(restored.RestoreState(cache.Serialize()).ok());
-  EXPECT_EQ(restored.size(), 1u);
-  cache.Abandon(MaskFor(2));
 }
 
 TEST(EvalCacheSpillTest, RejectsBadMagic) {
@@ -156,9 +141,9 @@ TEST(EvalCacheSpillTest, RejectsStaleSuiteVersion) {
 }
 
 TEST(EvalCacheSpillTest, RejectsFingerprintMismatch) {
-  ShardedEvalCache source(EvalCacheOptions{.fingerprint = 1});
+  ShardedEvalCache source(1);
   EXPECT_TRUE(source.InsertPublished(MaskFor(0), OutcomeFor(0)));
-  ShardedEvalCache other(EvalCacheOptions{.fingerprint = 2});
+  ShardedEvalCache other(2);
   const Status status = other.RestoreState(source.Serialize());
   EXPECT_EQ(status.code(), StatusCode::kFailedPrecondition);
   EXPECT_NE(status.message().find("fingerprint"), std::string::npos);
@@ -236,25 +221,6 @@ TEST(EvalCacheSpillTest, RejectsEntryCountJustPastPayload) {
   EXPECT_EQ(restored.size(), 0u);
 }
 
-TEST(EvalCacheSpillTest, LoadFromMissingFileIsNotFound) {
-  ShardedEvalCache cache;
-  EXPECT_EQ(cache.LoadFromFile("/nonexistent/dfs-eval-cache.spill").code(),
-            StatusCode::kNotFound);
-}
-
-TEST(EvalCacheSpillTest, SaveAndLoadFileRoundTrip) {
-  const std::string path = ::testing::TempDir() + "/eval_cache.spill";
-  ShardedEvalCache source;
-  for (uint32_t id = 0; id < 32; ++id) {
-    EXPECT_TRUE(source.InsertPublished(MaskFor(id), OutcomeFor(id)));
-  }
-  ASSERT_TRUE(source.SaveToFile(path).ok());
-  ShardedEvalCache restored;
-  ASSERT_TRUE(restored.LoadFromFile(path).ok());
-  EXPECT_EQ(restored.size(), 32u);
-  std::remove(path.c_str());
-}
-
 // ---- Lookup -------------------------------------------------------------
 
 // Masks that were never inserted never read as hits, however full the
@@ -291,21 +257,8 @@ TEST(EvalCacheLookupTest, PublishedMasksAlwaysHit) {
   EXPECT_EQ(stats.inserts, kResident);
 }
 
-// A pending (in-flight) entry reads as a miss through Lookup — the
-// non-blocking contract — and as a blocking hit through Acquire.
-TEST(EvalCacheLookupTest, PendingEntryReadsAsLookupMiss) {
-  ShardedEvalCache cache;
-  fs::EvalOutcome scratch;
-  ASSERT_EQ(cache.Acquire(MaskFor(1), &scratch),
-            ShardedEvalCache::Acquired::kOwner);
-  fs::EvalOutcome got;
-  EXPECT_FALSE(cache.Lookup(MaskFor(1), &got));
-  cache.Publish(MaskFor(1), OutcomeFor(1));
-  EXPECT_TRUE(cache.Lookup(MaskFor(1), &got));
-}
-
 // Every Lookup is counted exactly once, as a hit or as a miss — including
-// pending-entry misses and probes of a cold cache.
+// probes of a cold cache.
 TEST(EvalCacheLookupTest, HitsPlusMissesCountEveryLookup) {
   ShardedEvalCache cache;
   fs::EvalOutcome got;
@@ -316,78 +269,15 @@ TEST(EvalCacheLookupTest, HitsPlusMissesCountEveryLookup) {
   for (uint32_t id = 0; id < 32; ++id) {
     cache.InsertPublished(MaskFor(id), OutcomeFor(id));
   }
-  fs::EvalOutcome scratch;
-  ASSERT_EQ(cache.Acquire(MaskFor(100), &scratch),
-            ShardedEvalCache::Acquired::kOwner);
+  cache.InsertPublished(MaskFor(100), OutcomeFor(100));
   for (uint32_t id = 0; id < 128; ++id, ++lookups) {
-    cache.Lookup(MaskFor(id), &got);  // id 100 is pending: a miss
+    cache.Lookup(MaskFor(id), &got);
   }
-  cache.Publish(MaskFor(100), OutcomeFor(100));
 
   const EvalCacheStats stats = cache.Stats();
-  EXPECT_EQ(stats.hits, 32u);
-  EXPECT_EQ(stats.misses, 64u + 96u);
+  EXPECT_EQ(stats.hits, 33u);
+  EXPECT_EQ(stats.misses, 64u + 95u);
   EXPECT_EQ(stats.hits + stats.misses, lookups);
-}
-
-// ---- OwnerGuard (dead-owner regression) -------------------------------
-
-// An owner that unwinds without resolving must abandon its in-flight slot
-// eagerly: the next Acquire of the same mask becomes a fresh owner
-// instead of serializing behind (or deadlocking on) a dead one.
-TEST(EvalCacheOwnerGuardTest, UnresolvedGuardAbandonsEagerly) {
-  ShardedEvalCache cache;
-  const fs::FeatureMask mask = MaskFor(5);
-  fs::EvalOutcome scratch;
-  ASSERT_EQ(cache.Acquire(mask, &scratch),
-            ShardedEvalCache::Acquired::kOwner);
-  { ShardedEvalCache::OwnerGuard guard(&cache, mask); }  // owner "dies"
-  // Retry is a fresh owner, and the entry can be published normally.
-  ASSERT_EQ(cache.Acquire(mask, &scratch),
-            ShardedEvalCache::Acquired::kOwner);
-  ShardedEvalCache::OwnerGuard guard(&cache, mask);
-  guard.Publish(OutcomeFor(5));
-  EXPECT_EQ(cache.Acquire(mask, &scratch),
-            ShardedEvalCache::Acquired::kHit);
-  EXPECT_EQ(scratch.objective, OutcomeFor(5).objective);
-}
-
-TEST(EvalCacheOwnerGuardTest, DeadOwnerReleasesBlockedWaiter) {
-  ShardedEvalCache cache;
-  const fs::FeatureMask mask = MaskFor(9);
-  fs::EvalOutcome scratch;
-  ASSERT_EQ(cache.Acquire(mask, &scratch),
-            ShardedEvalCache::Acquired::kOwner);
-  auto guard =
-      std::make_unique<ShardedEvalCache::OwnerGuard>(&cache, mask);
-
-  std::atomic<int> observed{-1};
-  std::thread waiter([&] {
-    fs::EvalOutcome out;
-    observed.store(static_cast<int>(cache.Acquire(mask, &out)));
-  });
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  guard.reset();  // dead owner: destructor abandons
-  waiter.join();
-  EXPECT_EQ(observed.load(),
-            static_cast<int>(ShardedEvalCache::Acquired::kAbandoned));
-  // The slot is free again.
-  EXPECT_EQ(cache.Acquire(mask, &scratch),
-            ShardedEvalCache::Acquired::kOwner);
-  cache.Abandon(mask);
-}
-
-TEST(EvalCacheOwnerGuardTest, ExplicitResolveDisarmsDestructor) {
-  ShardedEvalCache cache;
-  const fs::FeatureMask mask = MaskFor(11);
-  fs::EvalOutcome scratch;
-  ASSERT_EQ(cache.Acquire(mask, &scratch),
-            ShardedEvalCache::Acquired::kOwner);
-  {
-    ShardedEvalCache::OwnerGuard guard(&cache, mask);
-    guard.Publish(OutcomeFor(11));
-  }  // destructor must NOT abandon the published entry
-  EXPECT_EQ(cache.Acquire(mask, &scratch), ShardedEvalCache::Acquired::kHit);
 }
 
 // ---- Registry ---------------------------------------------------------
@@ -657,11 +547,10 @@ TEST(EngineSharedCacheTest, WarmRestartServesFromRestoredSpill) {
 
 // ---- Concurrent churn (TSan fleet) ------------------------------------
 
-// Lookups, inserts, acquire/publish/abandon, spills, restores and stats
-// reads all race on one cache. Run under TSan by scripts/check.sh
-// --sanitize.
+// Lookups, inserts, spills, restores and stats reads all race on one
+// cache. Run under TSan by scripts/check.sh --sanitize.
 TEST(EvalCacheChurnTest, ConcurrentLookupInsertSpillChurn) {
-  ShardedEvalCache cache(EvalCacheOptions{.num_shards = 4});
+  ShardedEvalCache cache;
   constexpr int kThreads = 8;
   constexpr uint32_t kMasks = 1024;
   std::atomic<bool> stop{false};
@@ -673,7 +562,7 @@ TEST(EvalCacheChurnTest, ConcurrentLookupInsertSpillChurn) {
       fs::EvalOutcome got;
       for (uint32_t round = 0; round < 400 && !stop.load(); ++round) {
         const uint32_t id = (round * 17 + t * 131) % kMasks;
-        switch (t % 4) {
+        switch (t % 3) {
           case 0:  // insert-publish
             cache.InsertPublished(MaskFor(id), OutcomeFor(id));
             break;
@@ -683,25 +572,7 @@ TEST(EvalCacheChurnTest, ConcurrentLookupInsertSpillChurn) {
               wrong.fetch_add(1);
             }
             break;
-          case 2:  // in-flight dedup traffic, including abandons
-            switch (cache.Acquire(MaskFor(id), &got)) {
-              case ShardedEvalCache::Acquired::kOwner:
-                if (id % 5 == 0) {
-                  cache.Abandon(MaskFor(id));
-                } else {
-                  cache.Publish(MaskFor(id), OutcomeFor(id));
-                }
-                break;
-              case ShardedEvalCache::Acquired::kHit:
-                if (got.objective != OutcomeFor(id).objective) {
-                  wrong.fetch_add(1);
-                }
-                break;
-              case ShardedEvalCache::Acquired::kAbandoned:
-                break;
-            }
-            break;
-          case 3:  // spill/restore + stats under load
+          case 2:  // spill/restore + stats under load
             if (round % 16 == 0) {
               ShardedEvalCache scratch_cache;
               if (!scratch_cache.RestoreState(cache.Serialize()).ok()) {
@@ -709,7 +580,7 @@ TEST(EvalCacheChurnTest, ConcurrentLookupInsertSpillChurn) {
               }
             } else {
               const EvalCacheStats stats = cache.Stats();
-              if (stats.shard_entries.size() != 4) wrong.fetch_add(1);
+              if (stats.shard_entries.size() != 16) wrong.fetch_add(1);
             }
             break;
         }

@@ -17,8 +17,7 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
   {
     // Fingerprint 0 matches what make_corpus.py writes into the valid
     // seeds, so coverage reaches past the fingerprint check.
-    dfs::core::ShardedEvalCache cache(
-        dfs::core::EvalCacheOptions{.fingerprint = 0});
+    dfs::core::ShardedEvalCache cache(/*fingerprint=*/0);
     (void)cache.RestoreState(blob);
   }
   {
