@@ -54,6 +54,22 @@ struct EngineMetrics {
   }
 };
 
+/// Σ_{k=1..min(n, max_k)} C(n, k): the number of non-empty masks over `n`
+/// features that select at most `max_k`, saturating at UINT64_MAX.
+uint64_t FeasibleMaskCount(int n, int max_k) {
+  uint64_t total = 0;
+  uint64_t binomial = 1;  // C(n, k - 1)
+  for (int k = 1; k <= std::min(n, max_k); ++k) {
+    const uint64_t factor = static_cast<uint64_t>(n - k + 1);
+    if (binomial > UINT64_MAX / factor) return UINT64_MAX;
+    // Exact: C(n, k - 1) * (n - k + 1) == C(n, k) * k.
+    binomial = binomial * factor / k;
+    if (binomial > UINT64_MAX - total) return UINT64_MAX;
+    total += binomial;
+  }
+  return total;
+}
+
 }  // namespace
 
 DfsEngine::DfsEngine(MlScenario scenario, const EngineOptions& options)
@@ -96,8 +112,15 @@ bool DfsEngine::ExternallyCancelled() const {
   return cancelled;
 }
 
+bool DfsEngine::FeasibleSpaceCovered() const {
+  return feasible_covered_ >= feasible_masks_;
+}
+
 bool DfsEngine::ShouldStop() const {
   if (ExternallyCancelled()) return true;
+  // Nothing new is left to try, whatever the mode: every further proposal
+  // within the bound would be a memo hit.
+  if (FeasibleSpaceCovered()) return true;
   // In utility mode a satisfying subset does not end the search: the budget
   // is spent maximizing F1 subject to the constraints (Eq. 2).
   if (options_.maximize_f1_utility) return deadline_.Expired();
@@ -349,9 +372,22 @@ void DfsEngine::EvaluateSlot(const fs::FeatureMask& mask, BatchSlot& slot) {
   slot.kind = SlotKind::kEvaluated;
 }
 
+void DfsEngine::Memoize(const fs::FeatureMask& mask,
+                        const fs::EvalOutcome& outcome) {
+  if (memo_.emplace(mask, outcome).second &&
+      fs::CountSelected(mask) <= max_feature_count()) {
+    ++feasible_covered_;
+  }
+}
+
+void DfsEngine::CountCacheHit() {
+  ++result_.cache_hits;
+  EngineMetrics::Get().cache_hits.Increment();
+  if (strategy_cache_hits_ != nullptr) strategy_cache_hits_->Increment();
+}
+
 void DfsEngine::ReduceSlot(const fs::FeatureMask& mask, BatchSlot& slot,
                            bool parallel) {
-  EngineMetrics& metrics = EngineMetrics::Get();
   switch (slot.kind) {
     case SlotKind::kMemo: {
       // Absent when the earlier occurrence was not evaluated (failed
@@ -359,23 +395,21 @@ void DfsEngine::ReduceSlot(const fs::FeatureMask& mask, BatchSlot& slot,
       auto it = memo_.find(mask);
       if (it == memo_.end()) break;
       slot.result.outcome = it->second;
-      ++result_.cache_hits;
-      metrics.cache_hits.Increment();
+      CountCacheHit();
       break;
     }
     case SlotKind::kSharedHit:
       // A hit for the counters, but the mask is new to this run, so the
       // outcome still drives best-subset tracking and success recording —
       // without charging an evaluation (no training happened).
-      ++result_.cache_hits;
-      metrics.cache_hits.Increment();
+      CountCacheHit();
       RecordOutcome(mask, slot.result, /*charge_evaluation=*/false);
-      memo_.emplace(mask, slot.result.outcome);
+      Memoize(mask, slot.result.outcome);
       break;
     case SlotKind::kEvaluated:
-      if (parallel) metrics.parallel_evaluations.Increment();
+      if (parallel) EngineMetrics::Get().parallel_evaluations.Increment();
       RecordOutcome(mask, slot.result, /*charge_evaluation=*/true);
-      if (options_.enable_eval_cache) memo_.emplace(mask, slot.result.outcome);
+      if (options_.enable_eval_cache) Memoize(mask, slot.result.outcome);
       break;
     case SlotKind::kSkipped:
       break;
@@ -469,6 +503,10 @@ RunResult DfsEngine::Run(fs::FeatureSelectionStrategy& strategy) {
   // Reset per-run state.
   result_ = RunResult();
   memo_.clear();
+  feasible_masks_ = options_.enable_eval_cache
+                        ? FeasibleMaskCount(num_features(), max_feature_count())
+                        : UINT64_MAX;
+  feasible_covered_ = 0;
   success_found_ = false;
   best_objective_ = 1e18;
   cancel_observed_.reset();
@@ -485,6 +523,7 @@ RunResult DfsEngine::Run(fs::FeatureSelectionStrategy& strategy) {
   const std::string label = obs::SanitizeLabel(strategy.name());
   strategy_evaluations_ =
       &registry.counter("strategy." + label + ".evaluations");
+  strategy_cache_hits_ = &registry.counter("strategy." + label + ".cache_hits");
   strategy_eval_seconds_ =
       &registry.histogram("strategy." + label + ".evaluation_seconds");
   registry.counter("strategy." + label + ".runs").Increment();
@@ -494,6 +533,7 @@ RunResult DfsEngine::Run(fs::FeatureSelectionStrategy& strategy) {
   strategy.Run(*this);
 
   strategy_evaluations_ = nullptr;
+  strategy_cache_hits_ = nullptr;
   strategy_eval_seconds_ = nullptr;
 
   result_.cancelled = ExternallyCancelled();
@@ -509,7 +549,9 @@ RunResult DfsEngine::Run(fs::FeatureSelectionStrategy& strategy) {
   }
   if (!success_found_) {
     result_.search_seconds = stopwatch_.ElapsedSeconds();
-    result_.timed_out = !result_.cancelled && deadline_.Expired();
+    // A covered space is exhausted even if the deadline also passed.
+    result_.timed_out = !result_.cancelled && !FeasibleSpaceCovered() &&
+                        deadline_.Expired();
     result_.search_exhausted = !result_.timed_out && !result_.cancelled;
   } else if (options_.maximize_f1_utility) {
     // Utility mode runs to the deadline; the reported time is the full

@@ -2,6 +2,7 @@
 #define DFS_CORE_ENGINE_H_
 
 #include <atomic>
+#include <cstdint>
 #include <memory>
 #include <optional>
 #include <span>
@@ -94,7 +95,8 @@ struct RunResult {
   /// Test F1 of the returned subset (Table 4's utility benchmark).
   double test_f1 = 0.0;
   /// The strategy ran out of search space before the deadline (used by the
-  /// failure analysis in Section 6.3).
+  /// failure analysis in Section 6.3): it returned on its own, or the run
+  /// memo came to hold every mask within the feature-count bound.
   bool search_exhausted = false;
   int evaluations = 0;
   int cache_hits = 0;
@@ -260,6 +262,17 @@ class DfsEngine : public fs::EvalContext {
   /// submission order.
   void ReduceSlot(const fs::FeatureMask& mask, BatchSlot& slot, bool parallel);
 
+  /// Inserts an outcome into the run memo and counts it toward
+  /// feasible_covered_ when the mask is within the feature-count bound.
+  void Memoize(const fs::FeatureMask& mask, const fs::EvalOutcome& outcome);
+
+  /// Counts one memo or shared-L2 hit (run result, engine and strategy).
+  void CountCacheHit();
+
+  /// True once the run memo holds every mask within the feature-count
+  /// bound: any further proposal can only replay a memoized evaluation.
+  bool FeasibleSpaceCovered() const;
+
   /// Lazily creates the batch pool (first parallel batch of the engine's
   /// lifetime).
   void EnsurePool();
@@ -290,6 +303,11 @@ class DfsEngine : public fs::EvalContext {
   /// Per-run evaluation memo (EngineOptions::enable_eval_cache): outcomes
   /// of evaluated and shared-hit masks. Calling thread only.
   std::unordered_map<fs::FeatureMask, fs::EvalOutcome, fs::MaskHasher> memo_;
+  /// Number of non-empty masks within the feature-count bound, saturating
+  /// (the maximum when the memo is off, so the space never reads covered),
+  /// and how many of them the memo holds.
+  uint64_t feasible_masks_ = UINT64_MAX;
+  uint64_t feasible_covered_ = 0;
 
   // dfs::obs instrumentation (see DESIGN.md §2c). Per-strategy handles are
   // looked up once per Run ("strategy.<label>.*"); null between runs.
@@ -299,6 +317,7 @@ class DfsEngine : public fs::EvalContext {
   // cancel_seen_ as the lock-free fast path; Run reads the stamp only after
   // all workers have drained.
   obs::Counter* strategy_evaluations_ = nullptr;
+  obs::Counter* strategy_cache_hits_ = nullptr;
   obs::Histogram* strategy_eval_seconds_ = nullptr;
   mutable std::atomic<bool> cancel_seen_{false};
   mutable util::Mutex cancel_mu_;

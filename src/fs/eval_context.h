@@ -43,10 +43,11 @@ struct EvalOutcome {
 ///
 /// Observability: the implementation attributes every Evaluate() call to
 /// the strategy driving the run under dfs::obs metric names
-/// "strategy.<label>.{runs,evaluations,evaluation_seconds,run_seconds}"
-/// (label = obs::SanitizeLabel(strategy.name())), so strategies get
-/// per-strategy counts and timing without carrying any instrumentation
-/// themselves. Strategy-internal costs that bypass Evaluate (ranking
+/// "strategy.<label>.{runs,evaluations,cache_hits,evaluation_seconds,
+/// run_seconds}" (label = obs::SanitizeLabel(strategy.name()); cache_hits
+/// counts memo and shared-cache hits, i.e. re-proposed masks), so
+/// strategies get per-strategy counts and timing without carrying any
+/// instrumentation themselves. Strategy-internal costs that bypass Evaluate (ranking
 /// computation, importance fits) are recorded at their call sites under
 /// "fs.*" — see top_k.cc / rfe.cc / portfolio.cc.
 class EvalContext {
@@ -65,7 +66,8 @@ class EvalContext {
   /// Training split (read access for ranking computation).
   virtual const data::Dataset& train_data() const = 0;
 
-  /// True when the search must end (deadline hit or success recorded).
+  /// True when the search must end: deadline hit, success recorded, or
+  /// every mask within max_feature_count() already evaluated this run.
   virtual bool ShouldStop() const = 0;
 
   /// Seconds left before the Max-Search-Time deadline.

@@ -63,16 +63,18 @@ int TpeIntegerOptimizer::Propose() {
   SplitGoodBad(history_, options_.gamma, &good, &bad);
 
   // Sample candidates from the good density (rejection-free: categorical
-  // over the domain when small, kernel-centered jitter otherwise).
+  // over the domain when small, kernel-centered jitter otherwise). The
+  // density depends only on `good`, so it is built once per call.
+  std::vector<double> weights;
+  if (domain <= 256) {
+    weights.resize(domain);
+    for (int v = 0; v < domain; ++v) weights[v] = Density(lo_ + v, good);
+  }
   int best_value = lo_;
   double best_score = -1.0;
   for (int c = 0; c < options_.num_candidates; ++c) {
     int candidate;
     if (domain <= 256) {
-      std::vector<double> weights(domain);
-      for (int v = 0; v < domain; ++v) {
-        weights[v] = Density(lo_ + v, good);
-      }
       candidate = lo_ + rng_.Categorical(weights);
     } else {
       const int center = good[rng_.UniformInt(0, static_cast<int>(good.size()) - 1)];
@@ -93,8 +95,13 @@ int TpeIntegerOptimizer::Propose() {
 }
 
 void TpeIntegerOptimizer::Record(int value, double loss) {
+  DFS_CHECK(value >= lo_ && value <= hi_);
   history_.emplace_back(value, loss);
   seen_.insert(value);
+}
+
+bool TpeIntegerOptimizer::Exhausted() const {
+  return static_cast<int>(seen_.size()) == hi_ - lo_ + 1;
 }
 
 TpeBinaryOptimizer::TpeBinaryOptimizer(int dims, int max_ones,

@@ -28,12 +28,17 @@ class TpeIntegerOptimizer {
   TpeIntegerOptimizer(int lo, int hi, const TpeOptions& options,
                       uint64_t seed);
 
-  /// Next value to evaluate. Prefers unseen values; falls back to the best
-  /// candidate if everything in range was already tried.
+  /// Next value to evaluate. Prefers unseen values but may repeat one, and
+  /// keeps repeating once every value is tried: callers stop on Exhausted().
   int Propose();
 
-  /// Feeds back the loss of an evaluated value (lower is better).
+  /// Feeds back the loss of an evaluated value in [lo, hi] (lower is
+  /// better).
   void Record(int value, double loss);
+
+  /// True once every value in [lo, hi] has been recorded: further
+  /// proposals can only repeat a value already evaluated.
+  bool Exhausted() const;
 
   int num_observations() const { return static_cast<int>(history_.size()); }
 

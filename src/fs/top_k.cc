@@ -50,7 +50,9 @@ void TopKRankingStrategy::Run(EvalContext& context) {
 
   const int max_k = std::min(n, context.max_feature_count());
   TpeIntegerOptimizer optimizer(1, max_k, tpe_options_, seed_);
-  while (!context.ShouldStop()) {
+  // Once every k was tried, further proposals only replay memoized
+  // evaluations: the search is exhausted, not out of time.
+  while (!context.ShouldStop() && !optimizer.Exhausted()) {
     const int k = optimizer.Propose();
     FeatureMask mask(n, 0);
     for (int i = 0; i < k; ++i) mask[order[i]] = 1;

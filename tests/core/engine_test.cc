@@ -219,6 +219,131 @@ TEST(DfsEngineTest, CacheCountsRecorded) {
   EXPECT_EQ(result2.cache_hits, 0);
 }
 
+// The strategy-level cache-hit counter sees exactly the run's hits.
+TEST(DfsEngineTest, StrategyCacheHitCounterMatchesRunResult) {
+  class RepeatFullMask : public fs::FeatureSelectionStrategy {
+   public:
+    std::string name() const override { return "repeat-full-mask"; }
+    fs::StrategyInfo info() const override { return {}; }
+    void Run(fs::EvalContext& context) override {
+      for (int i = 0; i < 3; ++i) {
+        context.Evaluate(fs::FullMask(context.num_features()));
+      }
+    }
+  };
+  RepeatFullMask strategy;
+  obs::Counter& hits = obs::MetricsRegistry::Global().counter(
+      "strategy." + obs::SanitizeLabel(strategy.name()) + ".cache_hits");
+  const uint64_t before = hits.value();
+  DfsEngine engine(MakeTestScenario(EasySet()), EngineOptions());
+  const RunResult result = engine.Run(strategy);
+  EXPECT_EQ(result.cache_hits, 2);
+  EXPECT_EQ(hits.value() - before, static_cast<uint64_t>(result.cache_hits));
+}
+
+// Constraints no subset meets (label noise rules out F1 >= 0.999), so only
+// the search space or the budget can end a run.
+constraints::ConstraintSet UnreachableSet() {
+  constraints::ConstraintSet set;
+  set.min_f1 = 0.999;
+  set.max_search_seconds = 30.0;  // the tests must finish long before this
+  return set;
+}
+
+TEST(DfsEngineTest, TopKRankingEndsExhaustedOnceEveryKIsTried) {
+  DfsEngine engine(MakeTestScenario(UnreachableSet()), EngineOptions());
+  ASSERT_EQ(engine.max_feature_count(), 6);
+  auto strategy = fs::CreateStrategy(fs::StrategyId::kTpeChi2, 2);
+  const RunResult result = engine.Run(*strategy);
+  EXPECT_FALSE(result.success);
+  EXPECT_TRUE(result.search_exhausted);
+  EXPECT_FALSE(result.timed_out);
+  EXPECT_EQ(result.evaluations, 6);  // one per k in [1, 6]
+  EXPECT_LT(result.search_seconds, 10.0);
+}
+
+// Proposes random masks of one or two features until told to stop.
+class RandomSmallMasks : public fs::FeatureSelectionStrategy {
+ public:
+  std::string name() const override { return "random-small-masks"; }
+  fs::StrategyInfo info() const override { return {}; }
+  void Run(fs::EvalContext& context) override {
+    const int n = context.num_features();
+    while (!context.ShouldStop()) {
+      fs::FeatureMask mask(n, false);
+      mask[context.rng().UniformInt(0, n - 1)] = true;
+      mask[context.rng().UniformInt(0, n - 1)] = true;
+      context.Evaluate(mask);
+    }
+  }
+};
+
+// 4 features, at most 2 selected: C(4,1) + C(4,2) = 10 feasible masks.
+MlScenario FourFeaturesAtMostTwo(double max_search_seconds) {
+  constraints::ConstraintSet set = UnreachableSet();
+  set.max_feature_fraction = 0.5;
+  set.max_search_seconds = max_search_seconds;
+  return MakeTestScenario(set, ml::ModelKind::kLogisticRegression, 300, 2);
+}
+
+TEST(DfsEngineTest, RunEndsExhaustedOnceEveryFeasibleMaskIsMemoized) {
+  DfsEngine engine(FourFeaturesAtMostTwo(30.0), EngineOptions());
+  ASSERT_EQ(engine.num_features(), 4);
+  ASSERT_EQ(engine.max_feature_count(), 2);
+  RandomSmallMasks strategy;
+  const RunResult result = engine.Run(strategy);
+  EXPECT_FALSE(result.success);
+  EXPECT_TRUE(result.search_exhausted);
+  EXPECT_FALSE(result.timed_out);
+  EXPECT_EQ(result.evaluations, 10);
+  EXPECT_LT(result.search_seconds, 10.0);
+}
+
+TEST(DfsEngineTest, CoverageStopNeedsTheMemo) {
+  EngineOptions options;
+  options.enable_eval_cache = false;
+  DfsEngine engine(FourFeaturesAtMostTwo(0.3), options);
+  RandomSmallMasks strategy;
+  const RunResult result = engine.Run(strategy);
+  EXPECT_TRUE(result.timed_out);
+  EXPECT_FALSE(result.search_exhausted);
+  EXPECT_GT(result.evaluations, 10);
+}
+
+// Over-bound masks (the full set SBS and RFE start from) are memoized but
+// do not count toward covering the feasible space.
+TEST(DfsEngineTest, OverBoundMaskDoesNotStopTheRunEarly) {
+  class FullMaskThenSmallMasks : public fs::FeatureSelectionStrategy {
+   public:
+    std::string name() const override { return "full-then-small"; }
+    fs::StrategyInfo info() const override { return {}; }
+    void Run(fs::EvalContext& context) override {
+      const int n = context.num_features();
+      context.Evaluate(fs::FullMask(n));
+      for (int a = 0; a < n; ++a) {
+        for (int b = a; b < n; ++b) {  // a == b: the singletons
+          stop_before_each.push_back(context.ShouldStop());
+          fs::FeatureMask mask(n, false);
+          mask[a] = true;
+          mask[b] = true;
+          context.Evaluate(mask);
+        }
+      }
+      stop_after_all = context.ShouldStop();
+    }
+    std::vector<bool> stop_before_each;
+    bool stop_after_all = false;
+  };
+
+  DfsEngine engine(FourFeaturesAtMostTwo(30.0), EngineOptions());
+  FullMaskThenSmallMasks strategy;
+  const RunResult result = engine.Run(strategy);
+  EXPECT_EQ(strategy.stop_before_each, std::vector<bool>(10, false));
+  EXPECT_TRUE(strategy.stop_after_all);
+  EXPECT_EQ(result.evaluations, 11);
+  EXPECT_TRUE(result.search_exhausted);
+}
+
 TEST(DfsEngineTest, PrivacyConstraintTrainsDpModel) {
   constraints::ConstraintSet set = EasySet();
   set.min_f1 = 0.2;
@@ -267,8 +392,11 @@ TEST(DfsEngineTest, UtilityModeKeepsSearchingAndMaximizesF1) {
   set.max_search_seconds = 0.4;
   EngineOptions options;
   options.maximize_f1_utility = true;
-  DfsEngine engine(MakeTestScenario(set), options);
-  // SA never exhausts its search space, so it runs to the deadline.
+  // 22 features: SA cannot cover 4M masks in the budget, so it runs to the
+  // deadline (a covered space would end the run early, in utility mode too).
+  DfsEngine engine(MakeTestScenario(set, ml::ModelKind::kLogisticRegression,
+                                    300, 20),
+                   options);
   auto strategy = fs::CreateStrategy(fs::StrategyId::kSimulatedAnnealing, 7);
   const RunResult result = engine.Run(*strategy);
   EXPECT_TRUE(result.success);

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <vector>
 
 namespace dfs::fs {
 namespace {
@@ -67,6 +68,34 @@ TEST(TpeIntegerTest, SingletonDomain) {
   EXPECT_EQ(optimizer.Propose(), 4);
   optimizer.Record(4, 1.0);
   EXPECT_EQ(optimizer.Propose(), 4);
+}
+
+TEST(TpeIntegerTest, ExhaustedOnceEveryValueIsRecorded) {
+  TpeIntegerOptimizer optimizer(3, 9, TpeOptions(), 4);
+  for (int value = 9; value > 3; --value) {
+    optimizer.Record(value, value);
+    optimizer.Record(value, value);  // repeats do not count twice
+    EXPECT_FALSE(optimizer.Exhausted()) << "after recording " << value;
+  }
+  optimizer.Record(3, 3.0);
+  EXPECT_TRUE(optimizer.Exhausted());
+}
+
+TEST(TpeIntegerTest, ProposalSequenceIsPinned) {
+  // Recorded before the good density was hoisted out of the candidate
+  // loop; the hoist must not change a single proposal or RNG draw.
+  const std::vector<int> expected = {
+      12, 27, 9,  7,  23, 16, 19, 13, 14, 11, 10, 1,  15, 30,
+      5,  28, 17, 8,  24, 21, 29, 12, 12, 2,  12, 20, 26, 22,
+      12, 12, 3,  12, 18, 12, 12, 12, 25, 12, 12, 12};
+  TpeIntegerOptimizer optimizer(1, 30, TpeOptions(), 7);
+  std::vector<int> proposals;
+  for (size_t i = 0; i < expected.size(); ++i) {
+    const int k = optimizer.Propose();
+    proposals.push_back(k);
+    optimizer.Record(k, std::fabs(k - 12.0));
+  }
+  EXPECT_EQ(proposals, expected);
 }
 
 TEST(TpeBinaryTest, MasksRespectSizeBounds) {

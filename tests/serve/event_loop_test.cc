@@ -23,6 +23,8 @@ namespace dfs::serve {
 namespace {
 
 constexpr char kDataset[] = "serve-lin";
+/// 22 features: a search space (4M masks) no test run covers.
+constexpr char kWideDataset[] = "serve-wide";
 
 std::unique_ptr<DfsServer> MakeServer(int workers, size_t capacity) {
   ServerOptions options;
@@ -31,6 +33,8 @@ std::unique_ptr<DfsServer> MakeServer(int workers, size_t capacity) {
   auto server = std::make_unique<DfsServer>(options);
   server->RegisterDataset(kDataset,
                           testing::MakeLinearDataset(200, 4, 1234));
+  server->RegisterDataset(kWideDataset,
+                          testing::MakeLinearDataset(200, 20, 1234));
   return server;
 }
 
@@ -39,7 +43,7 @@ std::unique_ptr<DfsServer> MakeServer(int workers, size_t capacity) {
 /// (DfsServer::Shutdown cancels it).
 std::string EndlessSubmitLine(uint64_t seed = 42) {
   JobRequest request;
-  request.dataset = kDataset;
+  request.dataset = kWideDataset;
   request.strategy = "SA(NR)";
   constraints::ConstraintSet set;
   set.min_f1 = 0.999;

@@ -19,9 +19,12 @@ namespace dfs::serve {
 namespace {
 
 constexpr char kDataset[] = "serve-lin";
+/// 22 features: a search space (4M masks) no test run covers, so a job
+/// that cannot succeed runs until its budget or a cancel ends it.
+constexpr char kWideDataset[] = "serve-wide";
 
-/// Server over a small registered dataset (6 encoded features) so each
-/// wrapper evaluation costs milliseconds.
+/// Server over small registered datasets (6 and 22 encoded features) so
+/// each wrapper evaluation costs milliseconds.
 ServerOptions FastOptions(int workers, size_t capacity) {
   ServerOptions options;
   options.num_workers = workers;
@@ -33,6 +36,8 @@ std::unique_ptr<DfsServer> MakeServer(int workers, size_t capacity) {
   auto server = std::make_unique<DfsServer>(FastOptions(workers, capacity));
   server->RegisterDataset(kDataset,
                           testing::MakeLinearDataset(200, 4, 1234));
+  server->RegisterDataset(kWideDataset,
+                          testing::MakeLinearDataset(200, 20, 1234));
   return server;
 }
 
@@ -52,7 +57,7 @@ JobRequest EasyJob(uint64_t seed = 42) {
 /// space, so it runs for its whole budget unless cancelled.
 JobRequest EndlessJob(double budget_seconds, uint64_t seed = 42) {
   JobRequest request;
-  request.dataset = kDataset;
+  request.dataset = kWideDataset;
   request.strategy = "SA(NR)";
   constraints::ConstraintSet set;
   set.min_f1 = 0.999;
@@ -162,7 +167,7 @@ TEST(DfsServerTest, CancellingARunningJobStopsItPromptly) {
   Stopwatch stopwatch;
   ASSERT_TRUE(server->Cancel(*id).ok());
   ASSERT_TRUE(server->WaitForTerminal(*id, 10.0).ok());
-  // "Within one evaluation": evaluations on the 6-feature dataset cost
+  // "Within one evaluation": evaluations on the 22-feature dataset cost
   // milliseconds, so seconds of slack is already generous.
   EXPECT_LT(stopwatch.ElapsedSeconds(), 5.0);
 
