@@ -1,7 +1,8 @@
 // Micro-benchmarks (google-benchmark): per-component costs that explain the
 // macro results — ranking computation (why MCFS times out on large data),
 // model training (why LR affords more evaluations than DT), TPE proposal
-// overhead, and two DESIGN.md ablations (evaluation cache, TPE gamma).
+// overhead, the cost of a run-memo hit, and the DESIGN.md TPE-gamma
+// ablation.
 
 #include <benchmark/benchmark.h>
 
@@ -79,7 +80,7 @@ void BM_TpeBinaryPropose(benchmark::State& state) {
 }
 BENCHMARK(BM_TpeBinaryPropose)->Arg(16)->Arg(128)->Arg(512);
 
-// ---- Ablation: evaluation cache (DESIGN.md) --------------------------
+// ---- Evaluation memo hit (DESIGN.md §2d) ------------------------------
 
 core::MlScenario MicroScenario() {
   Rng rng(11);
@@ -90,14 +91,13 @@ core::MlScenario MicroScenario() {
   return std::move(scenario).value();
 }
 
+// The cost of an Evaluate the run memo answers: after the first pass over
+// the masks every call is a memo hit.
 void BM_EngineEvalCache(benchmark::State& state) {
-  const bool cache = state.range(0) != 0;
-  state.SetLabel(cache ? "cache on" : "cache off");
   core::MlScenario scenario = MicroScenario();
   scenario.constraint_set.min_f1 = 0.99;  // never succeed, keep evaluating
   scenario.constraint_set.max_search_seconds = 3600;
   core::EngineOptions options;
-  options.enable_eval_cache = cache;
 
   // SFS revisits many overlapping masks through its floating evaluation
   // pattern; emulate by cycling a fixed set of masks.
@@ -119,7 +119,7 @@ void BM_EngineEvalCache(benchmark::State& state) {
     benchmark::DoNotOptimize(outcome);
   }
 }
-BENCHMARK(BM_EngineEvalCache)->Arg(0)->Arg(1)->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_EngineEvalCache)->Unit(benchmark::kMicrosecond);
 
 // ---- Shared eval-cache spill/restore ----------------------------------
 
@@ -137,7 +137,7 @@ fs::FeatureMask CacheBenchMask(uint32_t id) {
 // outside the loop — the restart path is what the daemon pays.
 void BM_EvalCacheWarmRestart(benchmark::State& state) {
   const int entries = static_cast<int>(state.range(0));
-  core::ShardedEvalCache source;
+  core::SharedEvalCache source;
   fs::EvalOutcome outcome;
   outcome.evaluated = true;
   outcome.validation.f1 = 0.5;
@@ -147,7 +147,7 @@ void BM_EvalCacheWarmRestart(benchmark::State& state) {
   const std::string blob = source.Serialize();
   state.SetLabel(std::to_string(blob.size() / 1024) + " KiB blob");
   for (auto _ : state) {
-    core::ShardedEvalCache restored;
+    core::SharedEvalCache restored;
     const Status status = restored.RestoreState(blob);
     DFS_CHECK(status.ok()) << status.ToString();
     benchmark::DoNotOptimize(restored.size());
@@ -161,7 +161,8 @@ BENCHMARK(BM_EvalCacheWarmRestart)
 // ---- One uncached wrapper evaluation --------------------------------
 
 // Cost of a single wrapper evaluation (train + measure on validation),
-// cache disabled, masks rotating so every call is fresh work. This is the
+// masks rotating so every call is fresh work: the run memo is reset by an
+// untimed engine.Run(warmup) at the start of every rotation. This is the
 // unit the whole benchmark's wall-clock is made of; the span/scratch fast
 // path is judged by this number (scripts/bench_diff.py against the
 // committed baseline).
@@ -170,7 +171,6 @@ void BM_EvaluateUncached(benchmark::State& state) {
   scenario.constraint_set.min_f1 = 0.99;  // never succeed, keep evaluating
   scenario.constraint_set.max_search_seconds = 3600;
   core::EngineOptions options;
-  options.enable_eval_cache = false;
   options.num_threads = 1;
 
   core::DfsEngine engine(scenario, options);
@@ -180,15 +180,19 @@ void BM_EvaluateUncached(benchmark::State& state) {
     fs::StrategyInfo info() const override { return {}; }
     void Run(fs::EvalContext&) override {}
   } warmup;
-  engine.Run(warmup);  // arms the deadline/state
 
   const int n = TelcoDataset().num_features();
   std::vector<fs::FeatureMask> masks;
   for (int f = 0; f < n; ++f) {
     masks.push_back(fs::IndicesToMask(n, {f, (f + 1) % n, (f + 3) % n}));
   }
-  int i = 0;
+  size_t i = 0;
   for (auto _ : state) {
+    if (i % masks.size() == 0) {
+      state.PauseTiming();
+      engine.Run(warmup);  // clears the run memo
+      state.ResumeTiming();
+    }
     auto outcome = engine.Evaluate(masks[i++ % masks.size()]);
     benchmark::DoNotOptimize(outcome);
   }
@@ -255,9 +259,9 @@ BENCHMARK(BM_PredictBatchSpan)->Arg(0)->Arg(1)->Unit(benchmark::kMicrosecond);
 
 // Throughput of a candidate sweep (the inner loop of SFS/RFE/exhaustive)
 // through EvaluateBatch at different thread budgets. Arg is the engine's
-// num_threads; 0 means "process budget" (DFS_THREADS / hardware). The
-// cache is disabled so every mask costs a real train+measure, and the
-// masks rotate so each batch is fresh work.
+// num_threads; 0 means "process budget" (DFS_THREADS / hardware). An
+// untimed engine.Run(warmup) clears the run memo before every batch, so
+// every mask costs a real train+measure.
 void BM_EngineEvaluateBatch(benchmark::State& state) {
   const int num_threads = static_cast<int>(state.range(0));
   state.SetLabel(num_threads == 0 ? "threads=budget"
@@ -266,7 +270,6 @@ void BM_EngineEvaluateBatch(benchmark::State& state) {
   scenario.constraint_set.min_f1 = 0.99;  // never succeed, keep evaluating
   scenario.constraint_set.max_search_seconds = 3600;
   core::EngineOptions options;
-  options.enable_eval_cache = false;
   options.num_threads = num_threads;
 
   core::DfsEngine engine(scenario, options);
@@ -276,7 +279,6 @@ void BM_EngineEvaluateBatch(benchmark::State& state) {
     fs::StrategyInfo info() const override { return {}; }
     void Run(fs::EvalContext&) override {}
   } warmup;
-  engine.Run(warmup);  // arms the deadline/state
 
   const int n = TelcoDataset().num_features();
   std::vector<fs::FeatureMask> masks;
@@ -285,6 +287,9 @@ void BM_EngineEvaluateBatch(benchmark::State& state) {
     masks.push_back(fs::IndicesToMask(n, {f, (f + 1) % n}));
   }
   for (auto _ : state) {
+    state.PauseTiming();
+    engine.Run(warmup);  // clears the run memo
+    state.ResumeTiming();
     auto outcomes = engine.EvaluateBatch(masks);
     benchmark::DoNotOptimize(outcomes);
   }

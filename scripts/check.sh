@@ -155,8 +155,8 @@ if [[ "${1:-}" == "--bench-smoke" ]]; then
     dfs_loadgen
   # Covers the hot-path kernels (GatherInto, span PredictBatch, one
   # uncached evaluation), the Arg(1) serial baseline through Arg(0)
-  # full-budget candidate sweep, the engine eval-cache on/off rows, and
-  # the warm-restart spill decode; DFS_THREADS caps the budget so the
+  # full-budget candidate sweep, the engine run-memo hit row, and the
+  # warm-restart spill decode; DFS_THREADS caps the budget so the
   # snapshot is reproducible on wide machines.
   out="${2:-BENCH_results.json}"
   DFS_THREADS="${DFS_THREADS:-4}" ./build-bench/bench/bench_micro \

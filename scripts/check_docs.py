@@ -30,6 +30,11 @@
    exists under src/. Exact line-level sync is `check.sh --analyze`'s
    job (it re-derives the graph); this keeps the artifact findable and
    its citations non-dangling even on docs-only runs.
+8. Every field row of docs/PROTOCOL.md's `cache` verb table names a key
+   that `HandleCache` in src/serve/frontend.cc writes
+   (`object["<key>"]`), and every key it writes has a row, so a removed
+   field cannot linger in the docs. `ok`, the envelope field of every
+   response, is exempt.
 """
 
 import glob
@@ -248,10 +253,53 @@ def check_lock_order_artifact():
     return errors
 
 
+def check_cache_verb_fields():
+    with open(os.path.join(REPO, "src", "serve", "frontend.cc"),
+              encoding="utf-8") as f:
+        body = re.search(r"\nstd::string HandleCache\(.*?\n}\n", f.read(),
+                         re.DOTALL)
+    if body is None:
+        return ["src/serve/frontend.cc no longer defines HandleCache "
+                "(update check_docs.py)"]
+    written = set(re.findall(r'object\["([^"]+)"\]', body.group(0)))
+    written.discard("ok")
+    with open(os.path.join(REPO, "docs", "PROTOCOL.md"),
+              encoding="utf-8") as f:
+        lines = f.read().splitlines()
+    start = next((i for i, line in enumerate(lines)
+                  if re.match(r"#+\s*cache\s*$", line)), None)
+    if start is None:
+        return ["docs/PROTOCOL.md has no '### cache' verb section"]
+    # A row's first cell may name several fields ("`hits` / `misses`");
+    # the table ends at its first non-row line.
+    documented = set()
+    seen_row = False
+    for line in lines[start + 1:]:
+        if not line.startswith("|"):
+            if seen_row:
+                break
+            continue
+        seen_row = True
+        first_cell = line.split("|")[1]
+        documented |= set(re.findall(r"`([^`]+)`", first_cell))
+    errors = [
+        f"docs/PROTOCOL.md documents cache verb field '{name}' but "
+        f"HandleCache in src/serve/frontend.cc does not write it"
+        for name in sorted(documented - written)
+    ]
+    errors += [
+        f"HandleCache in src/serve/frontend.cc writes '{name}' but "
+        f"docs/PROTOCOL.md's cache verb table has no row for it"
+        for name in sorted(written - documented)
+    ]
+    return errors
+
+
 def main():
     errors = (check_links() + check_bench_binaries() + check_env_knobs() +
               check_tool_binaries() + check_cache_instruments() +
-              check_cache_format_version() + check_lock_order_artifact())
+              check_cache_format_version() + check_lock_order_artifact() +
+              check_cache_verb_fields())
     for error in errors:
         print(f"check_docs: {error}", file=sys.stderr)
     if errors:

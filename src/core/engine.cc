@@ -347,7 +347,7 @@ bool DfsEngine::DispatchSlot(const fs::FeatureMask& mask, BatchSlot& slot) {
     return false;
   }
   if (fs::CountSelected(mask) == 0) return false;
-  if (options_.enable_eval_cache && memo_.contains(mask)) {
+  if (memo_.contains(mask)) {
     slot.kind = SlotKind::kMemo;
     return false;
   }
@@ -359,8 +359,7 @@ void DfsEngine::EvaluateSlot(const fs::FeatureMask& mask, BatchSlot& slot) {
 
   // L2: the shared cross-run cache, keyed to this evaluation context by
   // the serve layer.
-  ShardedEvalCache* shared =
-      options_.enable_eval_cache ? options_.shared_cache.get() : nullptr;
+  SharedEvalCache* shared = options_.shared_cache.get();
   if (shared != nullptr && shared->Lookup(mask, &slot.result.outcome)) {
     slot.kind = SlotKind::kSharedHit;
     return;
@@ -409,7 +408,7 @@ void DfsEngine::ReduceSlot(const fs::FeatureMask& mask, BatchSlot& slot,
     case SlotKind::kEvaluated:
       if (parallel) EngineMetrics::Get().parallel_evaluations.Increment();
       RecordOutcome(mask, slot.result, /*charge_evaluation=*/true);
-      if (options_.enable_eval_cache) Memoize(mask, slot.result.outcome);
+      Memoize(mask, slot.result.outcome);
       break;
     case SlotKind::kSkipped:
       break;
@@ -446,7 +445,7 @@ std::vector<fs::EvalOutcome> DfsEngine::EvaluateBatch(
   std::unordered_set<fs::FeatureMask, fs::MaskHasher> scheduled;
   for (size_t i = 0; i < masks.size(); ++i) {
     if (!DispatchSlot(masks[i], slots[i])) continue;
-    if (options_.enable_eval_cache && !scheduled.insert(masks[i]).second) {
+    if (!scheduled.insert(masks[i]).second) {
       slots[i].kind = SlotKind::kMemo;
       continue;
     }
@@ -503,9 +502,7 @@ RunResult DfsEngine::Run(fs::FeatureSelectionStrategy& strategy) {
   // Reset per-run state.
   result_ = RunResult();
   memo_.clear();
-  feasible_masks_ = options_.enable_eval_cache
-                        ? FeasibleMaskCount(num_features(), max_feature_count())
-                        : UINT64_MAX;
+  feasible_masks_ = FeasibleMaskCount(num_features(), max_feature_count());
   feasible_covered_ = 0;
   success_found_ = false;
   best_objective_ = 1e18;

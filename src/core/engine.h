@@ -30,8 +30,6 @@ struct EngineOptions {
   /// Eq. (2) utility mode: once constraints hold, keep maximizing F1 until
   /// the budget runs out (the Table-4 utility benchmark).
   bool maximize_f1_utility = false;
-  /// Memoize evaluations per feature mask (ablated in bench_micro).
-  bool enable_eval_cache = true;
   /// Adversarial-attack configuration for the safety metric.
   metrics::RobustnessOptions robustness;
   /// Seed for evaluation-side randomness (attacks, DP noise, permutation
@@ -56,10 +54,10 @@ struct EngineOptions {
   /// training, and fresh outcomes are published back into it.
   /// The caller owns keying — attach only a cache whose fingerprint
   /// matches this engine's evaluation context (dataset, model, constraint
-  /// set, seed; see ShardedEvalCache's constructor), because outcomes are
-  /// reused verbatim. Ignored when enable_eval_cache is false. Used by
-  /// dfs::serve to share evaluations across jobs and daemon restarts.
-  std::shared_ptr<ShardedEvalCache> shared_cache;
+  /// set, seed; see SharedEvalCache's constructor), because outcomes are
+  /// reused verbatim. Used by dfs::serve to share evaluations across jobs
+  /// and daemon restarts.
+  std::shared_ptr<SharedEvalCache> shared_cache;
 };
 
 /// One evaluation in a recorded search trace: when it happened, what was
@@ -300,11 +298,10 @@ class DfsEngine : public fs::EvalContext {
   bool success_found_ = false;
   RunResult result_;
   double best_objective_ = 1e18;
-  /// Per-run evaluation memo (EngineOptions::enable_eval_cache): outcomes
-  /// of evaluated and shared-hit masks. Calling thread only.
+  /// Per-run evaluation memo: outcomes of evaluated and shared-hit masks.
+  /// Calling thread only.
   std::unordered_map<fs::FeatureMask, fs::EvalOutcome, fs::MaskHasher> memo_;
-  /// Number of non-empty masks within the feature-count bound, saturating
-  /// (the maximum when the memo is off, so the space never reads covered),
+  /// Number of non-empty masks within the feature-count bound, saturating,
   /// and how many of them the memo holds.
   uint64_t feasible_masks_ = UINT64_MAX;
   uint64_t feasible_covered_ = 0;

@@ -3,6 +3,9 @@
 #include <cstring>
 #include <fstream>
 #include <sstream>
+#include <string_view>
+#include <utility>
+#include <vector>
 
 #include "core/suite_version.h"
 #include "obs/metrics.h"
@@ -64,7 +67,7 @@ void AppendF64(std::string* out, double value) {
 /// Bounds-checked little-endian reader over a blob.
 class Reader {
  public:
-  explicit Reader(const std::string& blob) : blob_(blob) {}
+  explicit Reader(std::string_view blob) : blob_(blob) {}
 
   bool ReadBytes(void* out, size_t n) {
     if (offset_ + n > blob_.size()) return false;
@@ -101,7 +104,7 @@ class Reader {
   size_t remaining() const { return blob_.size() - offset_; }
 
  private:
-  const std::string& blob_;
+  std::string_view blob_;
   size_t offset_ = 0;
 };
 
@@ -183,98 +186,19 @@ bool ReadEntry(Reader* reader, fs::FeatureMask* mask,
   return true;
 }
 
-}  // namespace
+using SpillEntries = std::vector<std::pair<fs::FeatureMask, fs::EvalOutcome>>;
 
-// ---------------------------------------------------------------------------
-// ShardedEvalCache
+/// One single-cache spill, decoded and validated but not merged anywhere.
+struct DecodedSpill {
+  uint64_t fingerprint = 0;
+  SpillEntries entries;
+};
 
-bool ShardedEvalCache::Lookup(const fs::FeatureMask& mask,
-                              fs::EvalOutcome* outcome) {
-  CacheMetrics& metrics = CacheMetrics::Get();
-  const Shard& shard = ShardFor(mask);
-  bool hit = false;
-  {
-    util::MutexLock lock(shard.mu);
-    auto it = shard.entries.find(mask);
-    if (it != shard.entries.end()) {
-      *outcome = it->second;
-      hit = true;
-    }
-  }
-  if (hit) {
-    hits_.fetch_add(1, std::memory_order_relaxed);
-    metrics.hits.Increment();
-    return true;
-  }
-  misses_.fetch_add(1, std::memory_order_relaxed);
-  metrics.misses.Increment();
-  return false;
-}
-
-bool ShardedEvalCache::InsertPublished(const fs::FeatureMask& mask,
-                                       const fs::EvalOutcome& outcome) {
-  Shard& shard = ShardFor(mask);
-  bool inserted;
-  {
-    util::MutexLock lock(shard.mu);
-    inserted = shard.entries.try_emplace(mask, outcome).second;
-  }
-  if (inserted) {
-    inserts_.fetch_add(1, std::memory_order_relaxed);
-    CacheMetrics::Get().inserts.Increment();
-  }
-  return inserted;
-}
-
-size_t ShardedEvalCache::size() const {
-  size_t total = 0;
-  for (const Shard& shard : shards_) {
-    util::MutexLock lock(shard.mu);
-    total += shard.entries.size();
-  }
-  return total;
-}
-
-EvalCacheStats ShardedEvalCache::Stats() const {
-  EvalCacheStats stats;
-  stats.hits = hits_.load(std::memory_order_relaxed);
-  stats.misses = misses_.load(std::memory_order_relaxed);
-  stats.inserts = inserts_.load(std::memory_order_relaxed);
-  stats.caches = 1;
-  stats.shard_entries.reserve(kNumShards);
-  for (const Shard& shard : shards_) {
-    util::MutexLock lock(shard.mu);
-    stats.shard_entries.push_back(shard.entries.size());
-    stats.entries += shard.entries.size();
-  }
-  return stats;
-}
-
-std::string ShardedEvalCache::Serialize() const {
-  // Payload first (the checksum covers exactly these bytes), header after.
-  std::string payload;
-  uint64_t entry_count = 0;
-  for (const Shard& shard : shards_) {
-    util::MutexLock lock(shard.mu);
-    for (const auto& [mask, outcome] : shard.entries) {
-      AppendEntry(&payload, mask, outcome);
-      ++entry_count;
-    }
-  }
-  std::string blob;
-  blob.reserve(48 + payload.size());
-  blob.append(kCacheMagic, sizeof(kCacheMagic));
-  AppendU32(&blob, kEvalCacheFormatVersion);
-  AppendU32(&blob, 0);  // reserved
-  AppendU64(&blob, kSuiteVersion);
-  AppendU64(&blob, fingerprint_);
-  AppendU64(&blob, entry_count);
-  AppendU64(&blob, Fnv1a(payload.data(), payload.size()));
-  blob += payload;
-  return blob;
-}
-
-Status ShardedEvalCache::RestoreState(const std::string& blob) {
+/// The one DFSCACHE decoder: every check in docs/CACHE.md "Rejection
+/// rules" except the fingerprint match, which only a target cache can make.
+/// Decodes everything before returning, so a truncated payload cannot
+/// leave a cache half-restored.
+StatusOr<DecodedSpill> DecodeSpill(std::string_view blob) {
   Reader reader(blob);
   char magic[8];
   if (!reader.ReadBytes(magic, sizeof(magic)) ||
@@ -282,9 +206,10 @@ Status ShardedEvalCache::RestoreState(const std::string& blob) {
     return InvalidArgumentError("not an eval-cache spill (bad magic)");
   }
   uint32_t version, reserved;
-  uint64_t suite, fingerprint, entry_count, checksum;
+  uint64_t suite, entry_count, checksum;
+  DecodedSpill spill;
   if (!reader.ReadU32(&version) || !reader.ReadU32(&reserved) ||
-      !reader.ReadU64(&suite) || !reader.ReadU64(&fingerprint) ||
+      !reader.ReadU64(&suite) || !reader.ReadU64(&spill.fingerprint) ||
       !reader.ReadU64(&entry_count) || !reader.ReadU64(&checksum)) {
     return InvalidArgumentError("truncated eval-cache spill header");
   }
@@ -300,26 +225,16 @@ Status ShardedEvalCache::RestoreState(const std::string& blob) {
         " != current " + std::to_string(kSuiteVersion) +
         " (evaluation semantics changed; delete the spill)");
   }
-  if (fingerprint != fingerprint_) {
-    return FailedPreconditionError(
-        "stale eval-cache spill: context fingerprint mismatch (spill " +
-        std::to_string(fingerprint) + ", cache " +
-        std::to_string(fingerprint_) +
-        "); outcomes from a different dataset/model/constraint context "
-        "must not be merged");
-  }
   const size_t payload_offset = reader.offset();
   if (Fnv1a(blob.data() + payload_offset, blob.size() - payload_offset) !=
       checksum) {
     return InvalidArgumentError(
         "corrupt eval-cache spill: payload checksum mismatch");
   }
-  // Decode everything before merging anything, so a truncated payload
-  // cannot leave the cache half-restored. The entry count lives in the
-  // header, OUTSIDE the checksum (which covers the payload only), so it
-  // must be sanity-checked before it sizes an allocation: every entry is
-  // at least kMinEntryBytes, so a count the remaining bytes cannot hold
-  // is corrupt no matter what the payload says.
+  // The entry count lives in the header, OUTSIDE the checksum (which
+  // covers the payload only), so it must be sanity-checked before it sizes
+  // an allocation: every entry is at least kMinEntryBytes, so a count the
+  // remaining bytes cannot hold is corrupt no matter what the payload says.
   constexpr uint64_t kMinEntryBytes = 69;  // u32 mask width + flags +
                                            // 7 f64 + 2 u32, empty mask
   if (entry_count > reader.remaining() / kMinEntryBytes) {
@@ -328,8 +243,7 @@ Status ShardedEvalCache::RestoreState(const std::string& blob) {
         std::to_string(entry_count) + " entries but only " +
         std::to_string(reader.remaining()) + " payload bytes follow");
   }
-  std::vector<std::pair<fs::FeatureMask, fs::EvalOutcome>> decoded;
-  decoded.reserve(entry_count);
+  spill.entries.reserve(entry_count);
   for (uint64_t i = 0; i < entry_count; ++i) {
     fs::FeatureMask mask;
     fs::EvalOutcome outcome;
@@ -338,38 +252,142 @@ Status ShardedEvalCache::RestoreState(const std::string& blob) {
           "truncated eval-cache spill: entry " + std::to_string(i) + " of " +
           std::to_string(entry_count) + " is cut short");
     }
-    decoded.emplace_back(std::move(mask), outcome);
+    spill.entries.emplace_back(std::move(mask), outcome);
   }
   if (reader.remaining() != 0) {
     return InvalidArgumentError(
         "corrupt eval-cache spill: " + std::to_string(reader.remaining()) +
         " trailing bytes after the last entry");
   }
-  uint64_t restored = 0;
-  for (const auto& [mask, outcome] : decoded) {
-    if (InsertPublished(mask, outcome)) ++restored;
+  return spill;
+}
+
+/// Inserts decoded entries (first writer wins); returns how many landed.
+size_t MergeEntries(SharedEvalCache& cache, const SpillEntries& entries) {
+  size_t merged = 0;
+  for (const auto& [mask, outcome] : entries) {
+    if (cache.InsertPublished(mask, outcome)) ++merged;
   }
+  return merged;
+}
+
+/// One restore operation's instruments: cache.restores by 1 and
+/// cache.restored_entries by the entries it merged.
+void CountRestore(size_t merged) {
   CacheMetrics& metrics = CacheMetrics::Get();
   metrics.restores.Increment();
-  metrics.restored_entries.Increment(restored);
+  metrics.restored_entries.Increment(merged);
+}
+
+}  // namespace
+
+// ---------------------------------------------------------------------------
+// SharedEvalCache
+
+bool SharedEvalCache::Lookup(const fs::FeatureMask& mask,
+                             fs::EvalOutcome* outcome) {
+  CacheMetrics& metrics = CacheMetrics::Get();
+  bool hit = false;
+  {
+    util::MutexLock lock(mu_);
+    auto it = entries_.find(mask);
+    if (it != entries_.end()) {
+      *outcome = it->second;
+      hit = true;
+    }
+  }
+  if (hit) {
+    hits_.fetch_add(1, std::memory_order_relaxed);
+    metrics.hits.Increment();
+    return true;
+  }
+  misses_.fetch_add(1, std::memory_order_relaxed);
+  metrics.misses.Increment();
+  return false;
+}
+
+bool SharedEvalCache::InsertPublished(const fs::FeatureMask& mask,
+                                      const fs::EvalOutcome& outcome) {
+  bool inserted;
+  {
+    util::MutexLock lock(mu_);
+    inserted = entries_.try_emplace(mask, outcome).second;
+  }
+  if (inserted) {
+    inserts_.fetch_add(1, std::memory_order_relaxed);
+    CacheMetrics::Get().inserts.Increment();
+  }
+  return inserted;
+}
+
+size_t SharedEvalCache::size() const {
+  util::MutexLock lock(mu_);
+  return entries_.size();
+}
+
+EvalCacheStats SharedEvalCache::Stats() const {
+  EvalCacheStats stats;
+  stats.hits = hits_.load(std::memory_order_relaxed);
+  stats.misses = misses_.load(std::memory_order_relaxed);
+  stats.inserts = inserts_.load(std::memory_order_relaxed);
+  stats.caches = 1;
+  stats.entries = size();
+  return stats;
+}
+
+std::string SharedEvalCache::Serialize() const {
+  // Payload first (the checksum covers exactly these bytes), header after.
+  std::string payload;
+  uint64_t entry_count;
+  {
+    util::MutexLock lock(mu_);
+    for (const auto& [mask, outcome] : entries_) {
+      AppendEntry(&payload, mask, outcome);
+    }
+    entry_count = entries_.size();
+  }
+  std::string blob;
+  blob.reserve(48 + payload.size());
+  blob.append(kCacheMagic, sizeof(kCacheMagic));
+  AppendU32(&blob, kEvalCacheFormatVersion);
+  AppendU32(&blob, 0);  // reserved
+  AppendU64(&blob, kSuiteVersion);
+  AppendU64(&blob, fingerprint_);
+  AppendU64(&blob, entry_count);
+  AppendU64(&blob, Fnv1a(payload.data(), payload.size()));
+  blob += payload;
+  return blob;
+}
+
+Status SharedEvalCache::RestoreState(const std::string& blob) {
+  DFS_ASSIGN_OR_RETURN(const DecodedSpill spill, DecodeSpill(blob));
+  if (spill.fingerprint != fingerprint_) {
+    return FailedPreconditionError(
+        "stale eval-cache spill: context fingerprint mismatch (spill " +
+        std::to_string(spill.fingerprint) + ", cache " +
+        std::to_string(fingerprint_) +
+        "); outcomes from a different dataset/model/constraint context "
+        "must not be merged");
+  }
+  CountRestore(MergeEntries(*this, spill.entries));
   return OkStatus();
 }
 
 // ---------------------------------------------------------------------------
 // EvalCacheRegistry
 
-std::shared_ptr<ShardedEvalCache> EvalCacheRegistry::GetOrCreate(
+std::shared_ptr<SharedEvalCache> EvalCacheRegistry::GetOrCreate(
     uint64_t fingerprint) {
   util::MutexLock lock(mu_);
   auto it = caches_.find(fingerprint);
   if (it != caches_.end()) return it->second;
-  auto cache = std::make_shared<ShardedEvalCache>(fingerprint);
+  auto cache = std::make_shared<SharedEvalCache>(fingerprint);
   caches_.emplace(fingerprint, cache);
   return cache;
 }
 
 Status EvalCacheRegistry::SaveToFile(const std::string& path) const {
-  std::vector<std::shared_ptr<ShardedEvalCache>> caches;
+  std::vector<std::shared_ptr<SharedEvalCache>> caches;
   {
     util::MutexLock lock(mu_);
     caches.reserve(caches_.size());
@@ -430,62 +448,41 @@ StatusOr<size_t> EvalCacheRegistry::RestoreFromString(
         std::to_string(cache_count) + " member blobs but only " +
         std::to_string(reader.remaining()) + " bytes follow in " + source);
   }
-  // Slice out every member blob before restoring any, so one stale or
-  // corrupt member rejects the whole file instead of leaving it
-  // half-merged.
-  std::vector<std::string> blobs;
+  // Slice out every member, then decode every member, before merging
+  // any, so one stale or corrupt member rejects the whole file instead of
+  // leaving it half-merged.
+  std::vector<std::string_view> blobs;
   blobs.reserve(cache_count);
   for (uint32_t i = 0; i < cache_count; ++i) {
     uint64_t length;
     if (!reader.ReadU64(&length) || length > reader.remaining()) {
       return InvalidArgumentError("truncated registry container: " + source);
     }
-    blobs.emplace_back(container, reader.offset(),
-                       static_cast<size_t>(length));
+    blobs.push_back(std::string_view(container).substr(
+        reader.offset(), static_cast<size_t>(length)));
     reader.Skip(static_cast<size_t>(length));  // bounds-checked above
   }
   if (reader.remaining() != 0) {
     return InvalidArgumentError(
         "corrupt registry container: trailing bytes in " + source);
   }
-  // Validate all blobs against throwaway caches first (RestoreState
-  // itself is all-or-nothing per blob, but the registry promises it for
-  // the whole file).
-  for (const std::string& blob : blobs) {
-    Reader header(blob);
-    char member_magic[8];
-    uint32_t member_version = 0, reserved = 0;
-    uint64_t suite = 0, fingerprint = 0;
-    if (!header.ReadBytes(member_magic, sizeof(member_magic)) ||
-        !header.ReadU32(&member_version) || !header.ReadU32(&reserved) ||
-        !header.ReadU64(&suite) || !header.ReadU64(&fingerprint)) {
-      return InvalidArgumentError("truncated member spill in " + source);
-    }
-    ShardedEvalCache probe(fingerprint);
-    DFS_RETURN_IF_ERROR(probe.RestoreState(blob));
+  std::vector<DecodedSpill> members;
+  members.reserve(blobs.size());
+  for (const std::string_view blob : blobs) {
+    DFS_ASSIGN_OR_RETURN(DecodedSpill member, DecodeSpill(blob));
+    members.push_back(std::move(member));
   }
   size_t restored = 0;
-  for (const std::string& blob : blobs) {
-    Reader header(blob);
-    char member_magic[8];
-    uint32_t member_version = 0, reserved = 0;
-    uint64_t suite = 0, fingerprint = 0;
-    header.ReadBytes(member_magic, sizeof(member_magic));
-    header.ReadU32(&member_version);
-    header.ReadU32(&reserved);
-    header.ReadU64(&suite);
-    header.ReadU64(&fingerprint);
-    auto cache = GetOrCreate(fingerprint);
-    const size_t before = cache->size();
-    DFS_RETURN_IF_ERROR(cache->RestoreState(blob));
-    restored += cache->size() - before;
+  for (const DecodedSpill& member : members) {
+    restored += MergeEntries(*GetOrCreate(member.fingerprint), member.entries);
   }
+  CountRestore(restored);
   restores_.fetch_add(1, std::memory_order_relaxed);
   return restored;
 }
 
 EvalCacheStats EvalCacheRegistry::Stats() const {
-  std::vector<std::shared_ptr<ShardedEvalCache>> caches;
+  std::vector<std::shared_ptr<SharedEvalCache>> caches;
   {
     util::MutexLock lock(mu_);
     caches.reserve(caches_.size());
@@ -501,12 +498,6 @@ EvalCacheStats EvalCacheRegistry::Stats() const {
     total.misses += stats.misses;
     total.inserts += stats.inserts;
     total.entries += stats.entries;
-    if (total.shard_entries.size() < stats.shard_entries.size()) {
-      total.shard_entries.resize(stats.shard_entries.size(), 0);
-    }
-    for (size_t i = 0; i < stats.shard_entries.size(); ++i) {
-      total.shard_entries[i] += stats.shard_entries[i];
-    }
   }
   return total;
 }

@@ -1,14 +1,12 @@
 #ifndef DFS_CORE_EVAL_CACHE_H_
 #define DFS_CORE_EVAL_CACHE_H_
 
-#include <array>
 #include <atomic>
 #include <cstdint>
 #include <map>
 #include <memory>
 #include <string>
 #include <unordered_map>
-#include <vector>
 
 #include "fs/eval_context.h"
 #include "fs/feature_subset.h"
@@ -19,7 +17,7 @@
 
 namespace dfs::core {
 
-/// Version of the binary spill format written by ShardedEvalCache::Serialize
+/// Version of the binary spill format written by SharedEvalCache::Serialize
 /// and EvalCacheRegistry::SaveToFile. Bump on any layout change; readers
 /// reject other versions. docs/CACHE.md specifies the byte-level layout and
 /// states this same number — scripts/check_docs.py keeps the two in sync.
@@ -35,36 +33,31 @@ struct EvalCacheStats {
   uint64_t restores = 0;  ///< restore/load operations (registry level)
   size_t caches = 0;      ///< caches in the registry (registry level)
   size_t entries = 0;     ///< resident entries
-  std::vector<size_t> shard_entries;  ///< per-shard occupancy
 };
 
-/// Concurrent table of wrapper-evaluation outcomes shared across runs of
-/// one evaluation context (the serve layer's cross-job L2, DESIGN.md §2h),
-/// mutex-striped into kNumShards shards keyed by fs::MaskHash so
-/// concurrent jobs and batch workers rarely contend on the same lock.
-/// Entries are only ever inserted whole (first writer wins), so there is no
-/// in-flight state: every resident entry is a finished outcome.
+/// Table of wrapper-evaluation outcomes shared across runs of one
+/// evaluation context (the serve layer's cross-job L2, DESIGN.md §2h): one
+/// mutex guarding one map. Entries are only ever inserted whole (first
+/// writer wins), so there is no in-flight state: every resident entry is a
+/// finished outcome.
 ///
 /// Persistence: Serialize/RestoreState spill the entries to the versioned,
 /// checksummed binary format specified in docs/CACHE.md. Stale blobs —
 /// wrong suite version or wrong context fingerprint — are rejected loudly
 /// with a non-OK Status, never silently merged.
-class ShardedEvalCache {
+class SharedEvalCache {
  public:
-  /// Mutex stripes; lookups/inserts for different masks rarely contend.
-  static constexpr size_t kNumShards = 16;
-
   /// `fingerprint` identifies the evaluation context whose outcomes this
   /// cache may hold (dataset + model + constraint set + seed + engine
   /// semantics — the serve layer computes it per job). Stamped into the
   /// spill header; RestoreState rejects a blob whose fingerprint differs.
-  explicit ShardedEvalCache(uint64_t fingerprint = 0)
+  explicit SharedEvalCache(uint64_t fingerprint = 0)
       : fingerprint_(fingerprint) {}
 
-  ShardedEvalCache(const ShardedEvalCache&) = delete;
-  ShardedEvalCache& operator=(const ShardedEvalCache&) = delete;
+  SharedEvalCache(const SharedEvalCache&) = delete;
+  SharedEvalCache& operator=(const SharedEvalCache&) = delete;
 
-  /// Non-blocking probe under the shard mutex; fills `*outcome` on a hit.
+  /// Non-blocking probe under the mutex; fills `*outcome` on a hit.
   bool Lookup(const fs::FeatureMask& mask, fs::EvalOutcome* outcome);
 
   /// Inserts an already-computed outcome (the restore path, and the engine
@@ -75,16 +68,15 @@ class ShardedEvalCache {
   bool InsertPublished(const fs::FeatureMask& mask,
                        const fs::EvalOutcome& outcome);
 
-  /// Number of entries (linearizes per shard only; test helper).
+  /// Number of entries.
   size_t size() const;
 
   uint64_t fingerprint() const { return fingerprint_; }
 
   EvalCacheStats Stats() const;
 
-  /// Spills every entry to the binary format in docs/CACHE.md. Each shard
-  /// is locked in turn, so a concurrent writer may land in or miss the
-  /// blob — serialize at quiescence for a consistent cut.
+  /// Spills every entry to the binary format in docs/CACHE.md, under the
+  /// mutex, so the blob is a consistent cut.
   std::string Serialize() const;
 
   /// Merges a spilled blob's entries into this cache (first writer wins).
@@ -95,21 +87,10 @@ class ShardedEvalCache {
   Status RestoreState(const std::string& blob);
 
  private:
-  struct Shard {
-    mutable util::Mutex mu;
-    std::unordered_map<fs::FeatureMask, fs::EvalOutcome, fs::MaskHasher>
-        entries DFS_GUARDED_BY(mu);
-  };
-
-  Shard& ShardFor(const fs::FeatureMask& mask) {
-    return shards_[fs::MaskHash(mask) % kNumShards];
-  }
-  const Shard& ShardFor(const fs::FeatureMask& mask) const {
-    return shards_[fs::MaskHash(mask) % kNumShards];
-  }
-
   const uint64_t fingerprint_;
-  std::array<Shard, kNumShards> shards_;
+  mutable util::Mutex mu_;
+  std::unordered_map<fs::FeatureMask, fs::EvalOutcome, fs::MaskHasher>
+      entries_ DFS_GUARDED_BY(mu_);
 
   // Shared-surface accounting (see EvalCacheStats). Relaxed: totals, not
   // synchronization.
@@ -129,7 +110,7 @@ class EvalCacheRegistry {
   EvalCacheRegistry& operator=(const EvalCacheRegistry&) = delete;
 
   /// The shared cache for `fingerprint`, created on first use.
-  std::shared_ptr<ShardedEvalCache> GetOrCreate(uint64_t fingerprint);
+  std::shared_ptr<SharedEvalCache> GetOrCreate(uint64_t fingerprint);
 
   /// Writes every cache's spill blob into one container file (docs/CACHE.md
   /// "Registry container"). Call at quiescence for a consistent cut.
@@ -138,8 +119,8 @@ class EvalCacheRegistry {
   /// Restores a container file, creating caches as needed and merging
   /// entries (first writer wins). Returns the number of entries restored.
   /// NotFound when the file does not exist; any stale or corrupt member
-  /// blob rejects the whole file (nothing before it is kept half-merged —
-  /// blobs are validated before any merge happens).
+  /// blob rejects the whole file (every member is decoded before any
+  /// merge happens, so nothing is kept half-merged).
   StatusOr<size_t> LoadFromFile(const std::string& path);
 
   /// LoadFromFile's decode/validate/merge core over an in-memory
@@ -148,16 +129,15 @@ class EvalCacheRegistry {
   StatusOr<size_t> RestoreFromString(const std::string& container,
                                      const std::string& source = "<memory>");
 
-  /// Aggregated stats: counters summed over caches, shard occupancy summed
-  /// elementwise, plus the registry-level cache count and spill/restore
-  /// operation counters.
+  /// Aggregated stats: counters and entries summed over caches, plus the
+  /// registry-level cache count and spill/restore operation counters.
   EvalCacheStats Stats() const;
 
   size_t size() const;
 
  private:
   mutable util::Mutex mu_;
-  std::map<uint64_t, std::shared_ptr<ShardedEvalCache>> caches_
+  std::map<uint64_t, std::shared_ptr<SharedEvalCache>> caches_
       DFS_GUARDED_BY(mu_);
   mutable std::atomic<uint64_t> spills_{0};
   mutable std::atomic<uint64_t> restores_{0};

@@ -8,6 +8,19 @@
 namespace dfs::fs {
 namespace {
 
+// BPSO(NR) settings.
+constexpr int kSwarmSize = 20;
+constexpr double kInertia = 0.7;
+constexpr double kCognitive = 1.5;  // pull toward the particle's own best
+constexpr double kSocial = 1.5;     // pull toward the swarm's best
+constexpr double kMaxVelocity = 4.0;
+
+// GA(NR) settings. The per-bit mutation probability is 1 / num_features.
+constexpr int kGaPopulationSize = 24;
+constexpr double kGaCrossoverProbability = 0.9;
+constexpr int kTournamentSize = 3;
+constexpr int kElites = 2;
+
 // Deselect random features until the bound holds; guarantee non-emptiness.
 void Repair(FeatureMask& mask, int max_ones, Rng& rng) {
   int ones = CountSelected(mask);
@@ -44,7 +57,7 @@ void BinaryPsoStrategy::Run(EvalContext& context) {
     FeatureMask best_position;
     double best_objective = 1e18;
   };
-  std::vector<Particle> swarm(options_.swarm_size);
+  std::vector<Particle> swarm(kSwarmSize);
   FeatureMask global_best;
   double global_best_objective = 1e18;
 
@@ -73,10 +86,9 @@ void BinaryPsoStrategy::Run(EvalContext& context) {
         const double x = particle.position[f] ? 1.0 : 0.0;
         const double pbest = particle.best_position[f] ? 1.0 : 0.0;
         const double gbest = global_best[f] ? 1.0 : 0.0;
-        double v = options_.inertia * particle.velocity[f] +
-                   options_.cognitive * r1 * (pbest - x) +
-                   options_.social * r2 * (gbest - x);
-        v = Clamp(v, -options_.max_velocity, options_.max_velocity);
+        double v = kInertia * particle.velocity[f] +
+                   kCognitive * r1 * (pbest - x) + kSocial * r2 * (gbest - x);
+        v = Clamp(v, -kMaxVelocity, kMaxVelocity);
         particle.velocity[f] = v;
         particle.position[f] = rng.Bernoulli(Sigmoid(v)) ? 1 : 0;
       }
@@ -99,16 +111,14 @@ void GeneticAlgorithmStrategy::Run(EvalContext& context) {
   const int n = context.num_features();
   const int max_ones = context.max_feature_count();
   Rng rng(seed_);
-  const double mutation_probability =
-      options_.mutation_probability > 0.0 ? options_.mutation_probability
-                                          : 1.0 / n;
+  const double mutation_probability = 1.0 / n;
 
   struct Individual {
     FeatureMask mask;
     double objective = 1e18;
   };
   std::vector<Individual> population;
-  for (int i = 0; i < options_.population_size; ++i) {
+  for (int i = 0; i < kGaPopulationSize; ++i) {
     if (context.ShouldStop()) return;
     Individual individual;
     individual.mask = RandomMask(n, max_ones, rng);
@@ -120,7 +130,7 @@ void GeneticAlgorithmStrategy::Run(EvalContext& context) {
 
   auto tournament = [&]() -> const Individual& {
     int best = rng.UniformInt(0, static_cast<int>(population.size()) - 1);
-    for (int i = 1; i < options_.tournament_size; ++i) {
+    for (int i = 1; i < kTournamentSize; ++i) {
       const int challenger =
           rng.UniformInt(0, static_cast<int>(population.size()) - 1);
       if (population[challenger].objective < population[best].objective) {
@@ -138,19 +148,17 @@ void GeneticAlgorithmStrategy::Run(EvalContext& context) {
     std::vector<Individual> next_generation;
     // Elitism: the best individuals survive unchanged (no re-evaluation
     // needed; objectives are deterministic per mask).
-    for (int e = 0; e < options_.elites &&
-                    e < static_cast<int>(population.size());
+    for (int e = 0; e < kElites && e < static_cast<int>(population.size());
          ++e) {
       next_generation.push_back(population[e]);
     }
-    while (static_cast<int>(next_generation.size()) <
-               options_.population_size &&
+    while (static_cast<int>(next_generation.size()) < kGaPopulationSize &&
            !context.ShouldStop()) {
       const Individual& parent_a = tournament();
       const Individual& parent_b = tournament();
       Individual child;
       child.mask.resize(n);
-      if (rng.Bernoulli(options_.crossover_probability)) {
+      if (rng.Bernoulli(kGaCrossoverProbability)) {
         // Single-point crossover.
         const int cut = rng.UniformInt(1, n - 1);
         for (int f = 0; f < n; ++f) {

@@ -7,15 +7,6 @@
 
 namespace dfs::fs {
 
-/// Options for BPSO(NR).
-struct BinaryPsoOptions {
-  int swarm_size = 20;
-  double inertia = 0.7;
-  double cognitive = 1.5;  ///< pull toward the particle's own best
-  double social = 1.5;     ///< pull toward the swarm's best
-  double max_velocity = 4.0;
-};
-
 /// BPSO(NR) — binary particle swarm optimization over the feature-decision
 /// vector (Kennedy & Eberhart; applied to FS by Xue et al. 2012, cited in
 /// Section 4.1). An *extension* beyond the paper's 16 benchmarked
@@ -24,9 +15,7 @@ struct BinaryPsoOptions {
 /// re-sampled through a sigmoid of the velocity.
 class BinaryPsoStrategy : public FeatureSelectionStrategy {
  public:
-  explicit BinaryPsoStrategy(uint64_t seed,
-                             const BinaryPsoOptions& options = {})
-      : seed_(seed), options_(options) {}
+  explicit BinaryPsoStrategy(uint64_t seed) : seed_(seed) {}
 
   std::string name() const override { return "BPSO(NR)"; }
 
@@ -42,17 +31,6 @@ class BinaryPsoStrategy : public FeatureSelectionStrategy {
 
  private:
   uint64_t seed_;
-  BinaryPsoOptions options_;
-};
-
-/// Options for GA(NR).
-struct GeneticAlgorithmOptions {
-  int population_size = 24;
-  double crossover_probability = 0.9;
-  /// Per-bit mutation probability; <= 0 means 1 / num_features.
-  double mutation_probability = -1.0;
-  int tournament_size = 3;
-  int elites = 2;
 };
 
 /// GA(NR) — single-objective genetic algorithm over feature masks, the
@@ -62,9 +40,7 @@ struct GeneticAlgorithmOptions {
 /// machinery.
 class GeneticAlgorithmStrategy : public FeatureSelectionStrategy {
  public:
-  explicit GeneticAlgorithmStrategy(
-      uint64_t seed, const GeneticAlgorithmOptions& options = {})
-      : seed_(seed), options_(options) {}
+  explicit GeneticAlgorithmStrategy(uint64_t seed) : seed_(seed) {}
 
   std::string name() const override { return "GA(NR)"; }
 
@@ -80,7 +56,6 @@ class GeneticAlgorithmStrategy : public FeatureSelectionStrategy {
 
  private:
   uint64_t seed_;
-  GeneticAlgorithmOptions options_;
 };
 
 }  // namespace dfs::fs

@@ -9,6 +9,12 @@
 namespace dfs::fs {
 namespace {
 
+// NSGA-II(NR) settings. Population size 30 follows the Xue et al.
+// configuration adopted by the paper (Section 6.2). The per-bit mutation
+// probability is 1 / num_features.
+constexpr int kPopulationSize = 30;
+constexpr double kCrossoverProbability = 0.9;
+
 bool Dominates(const std::vector<double>& a, const std::vector<double>& b) {
   bool strictly_better = false;
   for (size_t i = 0; i < a.size(); ++i) {
@@ -89,9 +95,7 @@ void Nsga2Strategy::Run(EvalContext& context) {
   const int n = context.num_features();
   const int max_ones = context.max_feature_count();
   Rng rng(seed_);
-  const double mutation_probability =
-      options_.mutation_probability > 0.0 ? options_.mutation_probability
-                                          : 1.0 / n;
+  const double mutation_probability = 1.0 / n;
 
   auto repair = [&](FeatureMask& mask) {
     int ones = CountSelected(mask);
@@ -136,8 +140,8 @@ void Nsga2Strategy::Run(EvalContext& context) {
   const double density = std::min(0.5, static_cast<double>(max_ones) / n);
   if (!context.ShouldStop()) {
     std::vector<FeatureMask> masks;
-    masks.reserve(options_.population_size);
-    for (int i = 0; i < options_.population_size; ++i) {
+    masks.reserve(kPopulationSize);
+    for (int i = 0; i < kPopulationSize; ++i) {
       FeatureMask mask(n, 0);
       for (int f = 0; f < n; ++f) mask[f] = rng.Bernoulli(density) ? 1 : 0;
       repair(mask);
@@ -180,12 +184,12 @@ void Nsga2Strategy::Run(EvalContext& context) {
     // Offspring generation: all children for the generation first (fixed
     // RNG order), then one batch evaluation.
     std::vector<FeatureMask> children;
-    children.reserve(options_.population_size);
-    for (int i = 0; i < options_.population_size; ++i) {
+    children.reserve(kPopulationSize);
+    for (int i = 0; i < kPopulationSize; ++i) {
       const Individual& parent_a = tournament();
       const Individual& parent_b = tournament();
       FeatureMask child(n);
-      if (rng.Bernoulli(options_.crossover_probability)) {
+      if (rng.Bernoulli(kCrossoverProbability)) {
         for (int f = 0; f < n; ++f) {
           child[f] = rng.Bernoulli(0.5) ? parent_a.mask[f] : parent_b.mask[f];
         }
@@ -199,7 +203,7 @@ void Nsga2Strategy::Run(EvalContext& context) {
       children.push_back(std::move(child));
     }
     std::vector<Individual> offspring;
-    offspring.reserve(options_.population_size);
+    offspring.reserve(kPopulationSize);
     if (!evaluate_into(std::move(children), offspring)) return;
 
     // Environmental selection over parents + offspring.
@@ -237,8 +241,8 @@ void Nsga2Strategy::Run(EvalContext& context) {
       return merged_crowding[a] > merged_crowding[b];
     });
     std::vector<Individual> next_population;
-    next_population.reserve(options_.population_size);
-    for (int i = 0; i < options_.population_size &&
+    next_population.reserve(kPopulationSize);
+    for (int i = 0; i < kPopulationSize &&
                     i < static_cast<int>(order.size());
          ++i) {
       next_population.push_back(std::move(population[order[i]]));

@@ -8,15 +8,6 @@
 
 namespace dfs::fs {
 
-/// Options for NSGA-II(NR). Population size 30 follows the Xue et al.
-/// configuration adopted by the paper (Section 6.2).
-struct Nsga2Options {
-  int population_size = 30;
-  double crossover_probability = 0.9;
-  /// Per-bit mutation probability; <= 0 means 1 / num_features.
-  double mutation_probability = -1.0;
-};
-
 /// NSGA-II(NR) (Deb et al.; surveyed for FS by Xue et al. 2015): the
 /// multi-objective representative. Each active constraint contributes one
 /// objective (its shortfall); the elitist genetic loop runs fast
@@ -25,8 +16,7 @@ struct Nsga2Options {
 /// engine reports success or the budget expires.
 class Nsga2Strategy : public FeatureSelectionStrategy {
  public:
-  explicit Nsga2Strategy(uint64_t seed, const Nsga2Options& options = {})
-      : seed_(seed), options_(options) {}
+  explicit Nsga2Strategy(uint64_t seed) : seed_(seed) {}
 
   std::string name() const override { return "NSGA-II(NR)"; }
 
@@ -42,7 +32,6 @@ class Nsga2Strategy : public FeatureSelectionStrategy {
 
  private:
   uint64_t seed_;
-  Nsga2Options options_;
 };
 
 /// Fast non-dominated sort (exposed for testing): returns the front index of

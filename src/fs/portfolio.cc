@@ -7,6 +7,11 @@
 namespace dfs::fs {
 namespace {
 
+/// Wall-clock slice per member in the first round; grows geometrically so
+/// later rounds favor whichever members are still making progress.
+constexpr double kInitialSliceSeconds = 0.05;
+constexpr double kSliceGrowth = 1.6;
+
 /// EvalContext view that additionally stops when a slice deadline passes.
 /// Everything else delegates to the parent (in particular the evaluation
 /// cache and success recording live there).
@@ -51,9 +56,8 @@ class SlicedContext : public EvalContext {
 }  // namespace
 
 TimeSlicedPortfolio::TimeSlicedPortfolio(std::vector<StrategyId> members,
-                                         uint64_t seed,
-                                         const PortfolioOptions& options)
-    : member_ids_(std::move(members)), options_(options) {
+                                         uint64_t seed)
+    : member_ids_(std::move(members)) {
   DFS_CHECK(!member_ids_.empty()) << "portfolio needs at least one member";
   for (size_t i = 0; i < member_ids_.size(); ++i) {
     members_.push_back(CreateStrategy(member_ids_[i], seed * 131 + i));
@@ -70,7 +74,7 @@ std::string TimeSlicedPortfolio::name() const {
 }
 
 void TimeSlicedPortfolio::Run(EvalContext& context) {
-  double slice = options_.initial_slice_seconds;
+  double slice = kInitialSliceSeconds;
   while (!context.ShouldStop()) {
     for (auto& member : members_) {
       if (context.ShouldStop()) return;
@@ -78,7 +82,7 @@ void TimeSlicedPortfolio::Run(EvalContext& context) {
       SlicedContext sliced(context, slice);
       member->Run(sliced);
     }
-    slice *= options_.slice_growth;
+    slice *= kSliceGrowth;
   }
 }
 

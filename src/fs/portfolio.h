@@ -10,14 +10,6 @@
 
 namespace dfs::fs {
 
-/// Options for the time-sliced portfolio.
-struct PortfolioOptions {
-  /// Wall-clock slice per member per round; grows geometrically so later
-  /// rounds favor whichever members are still making progress.
-  double initial_slice_seconds = 0.05;
-  double slice_growth = 1.6;
-};
-
 /// Dynamic strategy switching (the paper's "Meta learning" future-work
 /// direction, Section 7): interleave several FS strategies on ONE shared
 /// evaluation budget instead of running them on separate machines
@@ -28,8 +20,7 @@ struct PortfolioOptions {
 /// warm-start, as the paper suggests.
 class TimeSlicedPortfolio : public FeatureSelectionStrategy {
  public:
-  TimeSlicedPortfolio(std::vector<StrategyId> members, uint64_t seed,
-                      const PortfolioOptions& options = {});
+  TimeSlicedPortfolio(std::vector<StrategyId> members, uint64_t seed);
 
   std::string name() const override;
 
@@ -46,7 +37,6 @@ class TimeSlicedPortfolio : public FeatureSelectionStrategy {
  private:
   std::vector<StrategyId> member_ids_;
   std::vector<std::unique_ptr<FeatureSelectionStrategy>> members_;
-  PortfolioOptions options_;
 };
 
 }  // namespace dfs::fs

@@ -6,6 +6,12 @@
 namespace dfs::fs {
 namespace {
 
+constexpr double kInitialTemperature = 0.25;
+/// Geometric cooling factor applied per evaluation.
+constexpr double kCooling = 0.995;
+/// Restart from a fresh random mask after this many rejected moves.
+constexpr int kMaxStall = 60;
+
 // Random mask with expected density bounded by the size constraint.
 FeatureMask RandomMask(int n, int max_ones, Rng& rng) {
   const double p = std::min(0.5, static_cast<double>(max_ones) / n);
@@ -32,7 +38,7 @@ void SimulatedAnnealingStrategy::Run(EvalContext& context) {
   EvalOutcome current_outcome = context.Evaluate(current);
   if (!current_outcome.evaluated) return;
 
-  double temperature = options_.initial_temperature;
+  double temperature = kInitialTemperature;
   int stall = 0;
 
   while (!context.ShouldStop()) {
@@ -63,13 +69,13 @@ void SimulatedAnnealingStrategy::Run(EvalContext& context) {
     } else {
       ++stall;
     }
-    temperature *= options_.cooling;
+    temperature *= kCooling;
 
-    if (stall >= options_.max_stall) {
+    if (stall >= kMaxStall) {
       current = RandomMask(n, max_ones, rng);
       current_outcome = context.Evaluate(current);
       if (!current_outcome.evaluated) break;
-      temperature = options_.initial_temperature;
+      temperature = kInitialTemperature;
       stall = 0;
     }
   }

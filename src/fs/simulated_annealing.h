@@ -7,24 +7,13 @@
 
 namespace dfs::fs {
 
-/// Options for SA(NR).
-struct SimulatedAnnealingOptions {
-  double initial_temperature = 0.25;
-  /// Geometric cooling factor applied per evaluation.
-  double cooling = 0.995;
-  /// Restart from a fresh random mask after this many rejected moves.
-  int max_stall = 60;
-};
-
 /// SA(NR): simulated annealing over the binary feature-decision vector
 /// (Doak 1992; Metropolis et al. 1953). Neighbor moves flip one feature;
 /// worse moves are accepted with probability exp(-Δ/T) under geometric
 /// cooling; prolonged stalls trigger a random restart.
 class SimulatedAnnealingStrategy : public FeatureSelectionStrategy {
  public:
-  explicit SimulatedAnnealingStrategy(
-      uint64_t seed, const SimulatedAnnealingOptions& options = {})
-      : seed_(seed), options_(options) {}
+  explicit SimulatedAnnealingStrategy(uint64_t seed) : seed_(seed) {}
 
   std::string name() const override { return "SA(NR)"; }
 
@@ -40,7 +29,6 @@ class SimulatedAnnealingStrategy : public FeatureSelectionStrategy {
 
  private:
   uint64_t seed_;
-  SimulatedAnnealingOptions options_;
 };
 
 }  // namespace dfs::fs

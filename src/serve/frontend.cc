@@ -198,7 +198,7 @@ std::string HandleRouter(DfsServer& server) {
 }
 
 /// The "cache" verb: the shared eval-cache registry's aggregated counters
-/// and occupancy (docs/PROTOCOL.md "cache"). Counters cover the shared
+/// and entry count (docs/PROTOCOL.md "cache"). Counters cover the shared
 /// surface only — Lookup/InsertPublished and spill/restore; the engine's
 /// per-run memo keeps its accounting in "engine.cache_hits".
 std::string HandleCache(DfsServer& server) {
@@ -215,12 +215,6 @@ std::string HandleCache(DfsServer& server) {
   object["spills"] = JsonValue::Number(static_cast<double>(stats.spills));
   object["restores"] =
       JsonValue::Number(static_cast<double>(stats.restores));
-  std::vector<std::string> occupancy;
-  occupancy.reserve(stats.shard_entries.size());
-  for (const size_t entries : stats.shard_entries) {
-    occupancy.push_back(std::to_string(entries));
-  }
-  object["shard_entries"] = JsonValue::String(Join(occupancy, " "));
   return WriteJsonLine(object);
 }
 

@@ -25,7 +25,7 @@ namespace dfs::serve {
 ///   -> {"op":"ping"}                 -> {"op":"shutdown"}
 ///   -> {"op":"metrics"}   // dfs::obs registry snapshot, flattened
 ///   -> {"op":"router"}    // routing policy, refits, per-strategy counts
-///   -> {"op":"cache"}     // shared eval-cache counters + occupancy
+///   -> {"op":"cache"}     // shared eval-cache counters + entry count
 ///
 /// Errors: {"ok":false,"error":"<machine tag>","message":"<detail>"}.
 /// The "queue_full" error tag is the backpressure signal; clients should

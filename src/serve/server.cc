@@ -377,10 +377,8 @@ DfsServer::JobOutcome DfsServer::ExecuteJob(Job& job) {
   // num_workers concurrently-running jobs do not oversubscribe the host.
   engine_options.num_threads =
       std::max(1, HardwareThreadBudget() / std::max(1, options_.num_workers));
-  if (options_.share_eval_cache) {
-    engine_options.shared_cache = eval_caches_.GetOrCreate(
-        JobContextFingerprint(request, **dataset));
-  }
+  engine_options.shared_cache =
+      eval_caches_.GetOrCreate(JobContextFingerprint(request, **dataset));
   core::DfsEngine engine(*std::move(scenario), engine_options);
   const core::RunResult run = engine.Run(*strategy);
 
@@ -440,7 +438,10 @@ void DfsServer::RecordTerminal(const Job& job, int evaluations) {
   metrics.job_seconds.Record(job.queue_seconds() + job.run_seconds());
   // Pairing the notify with the waiters' mutex closes the missed-wakeup
   // window (the state transition itself happens under the job's own lock).
-  { util::MutexLock lock(jobs_mu_); }
+  {
+    util::MutexLock lock(jobs_mu_);
+    terminal_order_.push_back(job.id());
+  }
   terminal_cv_.NotifyAll();
 }
 
@@ -495,33 +496,16 @@ std::optional<router::RouteDecision> DfsServer::GetRoute(JobId id) const {
 }
 
 void DfsServer::SweepLocked() {
-  for (auto it = jobs_.begin(); it != jobs_.end();) {
-    const Job& job = *it->second;
-    if (IsTerminalState(job.state()) &&
-        job.seconds_since_terminal() > options_.result_ttl_seconds) {
-      it = jobs_.erase(it);
-    } else {
-      ++it;
+  // Only the sweep evicts a terminal job: every id here is still in jobs_.
+  while (!terminal_order_.empty()) {
+    const JobId oldest = terminal_order_.front();
+    const Job& job = *jobs_.at(oldest);
+    if (job.seconds_since_terminal() <= options_.result_ttl_seconds &&
+        jobs_.size() <= options_.max_retained_jobs) {
+      return;
     }
-  }
-  if (jobs_.size() <= options_.max_retained_jobs) return;
-  std::vector<std::pair<double, JobId>> terminal;  // (age, id)
-  // DFS_UNORDERED_OK: the (age desc, id) sort below imposes a total order.
-  for (const auto& [id, job] : jobs_) {
-    if (IsTerminalState(job->state())) {
-      terminal.emplace_back(job->seconds_since_terminal(), id);
-    }
-  }
-  // Tie-break on id: with age alone, equal-aged jobs would be evicted in
-  // unordered_map iteration order (std::sort is unstable).
-  std::sort(terminal.begin(), terminal.end(),
-            [](const auto& a, const auto& b) {
-              if (a.first != b.first) return a.first > b.first;
-              return a.second < b.second;
-            });
-  for (const auto& [age, id] : terminal) {
-    if (jobs_.size() <= options_.max_retained_jobs) break;
-    jobs_.erase(id);
+    jobs_.erase(oldest);
+    terminal_order_.pop_front();
   }
 }
 

@@ -2,6 +2,7 @@
 #define DFS_SERVE_SERVER_H_
 
 #include <atomic>
+#include <deque>
 #include <map>
 #include <memory>
 #include <optional>
@@ -47,13 +48,6 @@ struct ServerOptions {
   /// Strategy-routing configuration ("auto" resolution lives in
   /// dfs::router; see router/router.h for policies and the online loop).
   router::RouterOptions router;
-  /// Share wrapper evaluations across jobs: each job's engine gets the
-  /// eval-cache registry's shared L2 cache for its evaluation-context
-  /// fingerprint (dataset + model + constraint set + seed + engine
-  /// options), so a resubmitted or similar job reuses prior trainings.
-  /// The registry is also what dfs_serverd spills to --eval-cache-state
-  /// across restarts (docs/CACHE.md).
-  bool share_eval_cache = true;
 };
 
 /// Monotonic service counters plus instantaneous gauges. Once the system
@@ -135,10 +129,12 @@ class DfsServer {
   /// for explicit-strategy jobs, unrouted jobs, and unknown ids.
   std::optional<router::RouteDecision> GetRoute(JobId id) const;
 
-  /// The shared eval-cache registry (one cache per evaluation-context
-  /// fingerprint; see ServerOptions::share_eval_cache). The daemon spills
-  /// and restores it through --eval-cache-state; the `cache` verb reports
-  /// its Stats().
+  /// The shared eval-cache registry: one cache per evaluation-context
+  /// fingerprint (dataset + model + constraint set + seed + engine
+  /// options), attached to every job's engine so a resubmitted or similar
+  /// job reuses prior trainings. The daemon spills and restores it through
+  /// --eval-cache-state (docs/CACHE.md); the `cache` verb reports its
+  /// Stats().
   core::EvalCacheRegistry& eval_caches() { return eval_caches_; }
   const core::EvalCacheRegistry& eval_caches() const { return eval_caches_; }
 
@@ -198,7 +194,7 @@ class DfsServer {
   void ReportRouteOutcome(const Job& job);
   StatusOr<std::shared_ptr<const data::Dataset>> ResolveDataset(
       const std::string& name);
-  /// Evicts expired / over-cap terminal jobs.
+  /// Evicts expired / over-cap terminal jobs, oldest-terminal first.
   void SweepLocked() DFS_REQUIRES(jobs_mu_);
 
   ServerOptions options_;
@@ -212,6 +208,9 @@ class DfsServer {
   mutable util::CondVar terminal_cv_;
   std::unordered_map<JobId, std::shared_ptr<Job>> jobs_
       DFS_GUARDED_BY(jobs_mu_);
+  /// Ids of retained terminal jobs in the order they were recorded
+  /// terminal: the sweep's eviction order.
+  std::deque<JobId> terminal_order_ DFS_GUARDED_BY(jobs_mu_);
 
   mutable util::Mutex datasets_mu_;
   std::map<std::string, std::shared_ptr<const data::Dataset>> datasets_

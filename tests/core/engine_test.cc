@@ -210,13 +210,6 @@ TEST(DfsEngineTest, CacheCountsRecorded) {
   const RunResult result = engine.Run(strategy);
   EXPECT_EQ(result.evaluations, 1);
   EXPECT_EQ(result.cache_hits, 1);
-
-  EngineOptions no_cache = options;
-  no_cache.enable_eval_cache = false;
-  DfsEngine engine2(scenario, no_cache);
-  const RunResult result2 = engine2.Run(strategy);
-  EXPECT_EQ(result2.evaluations, 2);
-  EXPECT_EQ(result2.cache_hits, 0);
 }
 
 // The strategy-level cache-hit counter sees exactly the run's hits.
@@ -297,17 +290,6 @@ TEST(DfsEngineTest, RunEndsExhaustedOnceEveryFeasibleMaskIsMemoized) {
   EXPECT_FALSE(result.timed_out);
   EXPECT_EQ(result.evaluations, 10);
   EXPECT_LT(result.search_seconds, 10.0);
-}
-
-TEST(DfsEngineTest, CoverageStopNeedsTheMemo) {
-  EngineOptions options;
-  options.enable_eval_cache = false;
-  DfsEngine engine(FourFeaturesAtMostTwo(0.3), options);
-  RandomSmallMasks strategy;
-  const RunResult result = engine.Run(strategy);
-  EXPECT_TRUE(result.timed_out);
-  EXPECT_FALSE(result.search_exhausted);
-  EXPECT_GT(result.evaluations, 10);
 }
 
 // Over-bound masks (the full set SBS and RFE start from) are memoized but

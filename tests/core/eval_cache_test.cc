@@ -19,6 +19,7 @@
 #include "core/scenario.h"
 #include "core/suite_version.h"
 #include "fs/registry.h"
+#include "obs/metrics.h"
 #include "testing/test_util.h"
 
 namespace dfs::core {
@@ -95,15 +96,37 @@ void PatchU32(std::string* blob, size_t offset, uint32_t value) {
   }
 }
 
+// The registry's container bytes, via SaveToFile and a temp file named
+// after the running test (ctest runs tests as parallel processes).
+std::string SaveToString(const EvalCacheRegistry& registry) {
+  const std::string path =
+      ::testing::TempDir() + "/" +
+      ::testing::UnitTest::GetInstance()->current_test_info()->name() +
+      ".spill";
+  EXPECT_TRUE(registry.SaveToFile(path).ok());
+  std::string container;
+  std::FILE* f = std::fopen(path.c_str(), "rb");
+  EXPECT_NE(f, nullptr);
+  if (f == nullptr) return container;
+  char buffer[4096];
+  size_t n;
+  while ((n = std::fread(buffer, 1, sizeof(buffer), f)) > 0) {
+    container.append(buffer, n);
+  }
+  std::fclose(f);
+  std::remove(path.c_str());
+  return container;
+}
+
 TEST(EvalCacheSpillTest, RoundTripIsByteIdentical) {
-  ShardedEvalCache source(0xFEEDULL);
+  SharedEvalCache source(0xFEEDULL);
   constexpr uint32_t kEntries = 257;
   for (uint32_t id = 0; id < kEntries; ++id) {
     EXPECT_TRUE(source.InsertPublished(MaskFor(id), OutcomeFor(id)));
   }
   const std::string blob = source.Serialize();
 
-  ShardedEvalCache restored(0xFEEDULL);
+  SharedEvalCache restored(0xFEEDULL);
   ASSERT_TRUE(restored.RestoreState(blob).ok());
   EXPECT_EQ(restored.size(), kEntries);
   for (uint32_t id = 0; id < kEntries; ++id) {
@@ -114,7 +137,7 @@ TEST(EvalCacheSpillTest, RoundTripIsByteIdentical) {
 }
 
 TEST(EvalCacheSpillTest, RejectsBadMagic) {
-  ShardedEvalCache cache;
+  SharedEvalCache cache;
   std::string blob = cache.Serialize();
   blob[0] = 'X';
   const Status status = cache.RestoreState(blob);
@@ -123,7 +146,7 @@ TEST(EvalCacheSpillTest, RejectsBadMagic) {
 }
 
 TEST(EvalCacheSpillTest, RejectsUnsupportedFormatVersion) {
-  ShardedEvalCache cache;
+  SharedEvalCache cache;
   std::string blob = cache.Serialize();
   PatchU32(&blob, kVersionOffset, kEvalCacheFormatVersion + 1);
   const Status status = cache.RestoreState(blob);
@@ -132,7 +155,7 @@ TEST(EvalCacheSpillTest, RejectsUnsupportedFormatVersion) {
 }
 
 TEST(EvalCacheSpillTest, RejectsStaleSuiteVersion) {
-  ShardedEvalCache cache;
+  SharedEvalCache cache;
   std::string blob = cache.Serialize();
   PatchU64(&blob, kSuiteOffset, kSuiteVersion + 1);
   const Status status = cache.RestoreState(blob);
@@ -141,9 +164,9 @@ TEST(EvalCacheSpillTest, RejectsStaleSuiteVersion) {
 }
 
 TEST(EvalCacheSpillTest, RejectsFingerprintMismatch) {
-  ShardedEvalCache source(1);
+  SharedEvalCache source(1);
   EXPECT_TRUE(source.InsertPublished(MaskFor(0), OutcomeFor(0)));
-  ShardedEvalCache other(2);
+  SharedEvalCache other(2);
   const Status status = other.RestoreState(source.Serialize());
   EXPECT_EQ(status.code(), StatusCode::kFailedPrecondition);
   EXPECT_NE(status.message().find("fingerprint"), std::string::npos);
@@ -151,12 +174,12 @@ TEST(EvalCacheSpillTest, RejectsFingerprintMismatch) {
 }
 
 TEST(EvalCacheSpillTest, RejectsTruncatedBlob) {
-  ShardedEvalCache cache;
+  SharedEvalCache cache;
   for (uint32_t id = 0; id < 5; ++id) {
     EXPECT_TRUE(cache.InsertPublished(MaskFor(id), OutcomeFor(id)));
   }
   const std::string blob = cache.Serialize();
-  ShardedEvalCache restored;
+  SharedEvalCache restored;
   // Header-level truncation and payload-level truncation both reject.
   EXPECT_EQ(restored.RestoreState(blob.substr(0, 20)).code(),
             StatusCode::kInvalidArgument);
@@ -166,25 +189,25 @@ TEST(EvalCacheSpillTest, RejectsTruncatedBlob) {
 }
 
 TEST(EvalCacheSpillTest, RejectsChecksumCorruption) {
-  ShardedEvalCache cache;
+  SharedEvalCache cache;
   EXPECT_TRUE(cache.InsertPublished(MaskFor(3), OutcomeFor(3)));
   std::string blob = cache.Serialize();
   blob[blob.size() - 1] ^= 0x5A;  // flip payload bits, header intact
-  ShardedEvalCache restored;
+  SharedEvalCache restored;
   const Status status = restored.RestoreState(blob);
   EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
   EXPECT_NE(status.message().find("checksum"), std::string::npos);
 }
 
 TEST(EvalCacheSpillTest, RejectsTrailingBytes) {
-  ShardedEvalCache cache;
+  SharedEvalCache cache;
   EXPECT_TRUE(cache.InsertPublished(MaskFor(1), OutcomeFor(1)));
   EXPECT_TRUE(cache.InsertPublished(MaskFor(2), OutcomeFor(2)));
   std::string blob = cache.Serialize();
   // Claim one entry while the (checksummed) payload holds two: the decoder
   // must notice the leftover bytes instead of silently dropping an entry.
   PatchU64(&blob, kEntryCountOffset, 1);
-  ShardedEvalCache restored;
+  SharedEvalCache restored;
   const Status status = restored.RestoreState(blob);
   EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
   EXPECT_NE(status.message().find("trailing"), std::string::npos);
@@ -192,7 +215,7 @@ TEST(EvalCacheSpillTest, RejectsTrailingBytes) {
 }
 
 TEST(EvalCacheSpillTest, RejectsOverclaimedEntryCount) {
-  ShardedEvalCache cache;
+  SharedEvalCache cache;
   EXPECT_TRUE(cache.InsertPublished(MaskFor(1), OutcomeFor(1)));
   std::string blob = cache.Serialize();
   // The entry count lives in the header, outside the payload checksum, so
@@ -200,7 +223,7 @@ TEST(EvalCacheSpillTest, RejectsOverclaimedEntryCount) {
   // remaining bytes cannot possibly hold must be rejected BEFORE it sizes
   // the decode buffer (a naive reserve of 2^60 entries is an OOM bomb).
   PatchU64(&blob, kEntryCountOffset, uint64_t{1} << 60);
-  ShardedEvalCache restored;
+  SharedEvalCache restored;
   const Status status = restored.RestoreState(blob);
   EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
   EXPECT_NE(status.message().find("header claims"), std::string::npos);
@@ -208,14 +231,14 @@ TEST(EvalCacheSpillTest, RejectsOverclaimedEntryCount) {
 }
 
 TEST(EvalCacheSpillTest, RejectsEntryCountJustPastPayload) {
-  ShardedEvalCache cache;
+  SharedEvalCache cache;
   EXPECT_TRUE(cache.InsertPublished(MaskFor(1), OutcomeFor(1)));
   std::string blob = cache.Serialize();
   // One real entry in the payload, header claiming two: the smallest
   // possible over-claim must reject at the count cap or the decode loop,
   // never half-merge.
   PatchU64(&blob, kEntryCountOffset, 2);
-  ShardedEvalCache restored;
+  SharedEvalCache restored;
   EXPECT_EQ(restored.RestoreState(blob).code(),
             StatusCode::kInvalidArgument);
   EXPECT_EQ(restored.size(), 0u);
@@ -226,7 +249,7 @@ TEST(EvalCacheSpillTest, RejectsEntryCountJustPastPayload) {
 // Masks that were never inserted never read as hits, however full the
 // cache is: every probe of the disjoint absent population is a miss.
 TEST(EvalCacheLookupTest, AbsentMasksNeverHit) {
-  ShardedEvalCache cache;
+  SharedEvalCache cache;
   constexpr uint32_t kResident = 512;
   for (uint32_t id = 0; id < kResident; ++id) {
     EXPECT_TRUE(cache.InsertPublished(MaskFor(id, true), OutcomeFor(id)));
@@ -242,7 +265,7 @@ TEST(EvalCacheLookupTest, AbsentMasksNeverHit) {
 
 // Every published mask hits and carries its own outcome.
 TEST(EvalCacheLookupTest, PublishedMasksAlwaysHit) {
-  ShardedEvalCache cache;
+  SharedEvalCache cache;
   constexpr uint32_t kResident = 2048;
   for (uint32_t id = 0; id < kResident; ++id) {
     EXPECT_TRUE(cache.InsertPublished(MaskFor(id), OutcomeFor(id)));
@@ -260,7 +283,7 @@ TEST(EvalCacheLookupTest, PublishedMasksAlwaysHit) {
 // Every Lookup is counted exactly once, as a hit or as a miss — including
 // probes of a cold cache.
 TEST(EvalCacheLookupTest, HitsPlusMissesCountEveryLookup) {
-  ShardedEvalCache cache;
+  SharedEvalCache cache;
   fs::EvalOutcome got;
   uint64_t lookups = 0;
   for (uint32_t id = 0; id < 64; ++id, ++lookups) {
@@ -368,20 +391,7 @@ TEST(EvalCacheRegistryTest, RestoreFromStringRoundTrip) {
       registry.GetOrCreate(5)->InsertPublished(MaskFor(0), OutcomeFor(0)));
   EXPECT_TRUE(
       registry.GetOrCreate(6)->InsertPublished(MaskFor(1), OutcomeFor(1)));
-  const std::string path = ::testing::TempDir() + "/eval_caches_mem.spill";
-  ASSERT_TRUE(registry.SaveToFile(path).ok());
-  std::string container;
-  {
-    std::FILE* f = std::fopen(path.c_str(), "rb");
-    ASSERT_NE(f, nullptr);
-    char buffer[4096];
-    size_t n;
-    while ((n = std::fread(buffer, 1, sizeof(buffer), f)) > 0) {
-      container.append(buffer, n);
-    }
-    std::fclose(f);
-  }
-  std::remove(path.c_str());
+  const std::string container = SaveToString(registry);
 
   EvalCacheRegistry restored;
   const auto count = restored.RestoreFromString(container);
@@ -390,24 +400,35 @@ TEST(EvalCacheRegistryTest, RestoreFromStringRoundTrip) {
   EXPECT_EQ(restored.size(), 2u);
 }
 
+// One container restore moves the global instruments once: cache.restores
+// by 1 (agreeing with the registry's own restore count) and
+// cache.restored_entries / cache.inserts by the entries merged.
+TEST(EvalCacheRegistryTest, RestoreCountsEachEntryOnce) {
+  EvalCacheRegistry registry;
+  for (uint32_t id = 0; id < 10; ++id) {
+    EXPECT_TRUE(registry.GetOrCreate(id < 6 ? 11 : 12)
+                    ->InsertPublished(MaskFor(id), OutcomeFor(id)));
+  }
+  const std::string container = SaveToString(registry);
+
+  auto& metrics = obs::MetricsRegistry::Global();
+  metrics.Reset();
+  EvalCacheRegistry restored;
+  const auto count = restored.RestoreFromString(container);
+  ASSERT_TRUE(count.ok()) << count.status().ToString();
+  EXPECT_EQ(*count, 10u);
+  EXPECT_EQ(metrics.counter("cache.restored_entries").value(), 10u);
+  EXPECT_EQ(metrics.counter("cache.inserts").value(), 10u);
+  EXPECT_EQ(restored.Stats().restores, 1u);
+  EXPECT_EQ(metrics.counter("cache.restores").value(),
+            restored.Stats().restores);
+}
+
 TEST(EvalCacheRegistryTest, RejectsOverclaimedCacheCount) {
   EvalCacheRegistry registry;
   EXPECT_TRUE(
       registry.GetOrCreate(7)->InsertPublished(MaskFor(0), OutcomeFor(0)));
-  const std::string path = ::testing::TempDir() + "/eval_caches_claim.spill";
-  ASSERT_TRUE(registry.SaveToFile(path).ok());
-  std::string container;
-  {
-    std::FILE* f = std::fopen(path.c_str(), "rb");
-    ASSERT_NE(f, nullptr);
-    char buffer[4096];
-    size_t n;
-    while ((n = std::fread(buffer, 1, sizeof(buffer), f)) > 0) {
-      container.append(buffer, n);
-    }
-    std::fclose(f);
-  }
-  std::remove(path.c_str());
+  std::string container = SaveToString(registry);
 
   // The container header carries no checksum at all: a hostile member
   // count (offset 12: magic 8 + version 4) must be capped by what the
@@ -426,20 +447,7 @@ TEST(EvalCacheRegistryTest, RejectsTruncatedMemberLength) {
   EvalCacheRegistry registry;
   EXPECT_TRUE(
       registry.GetOrCreate(8)->InsertPublished(MaskFor(0), OutcomeFor(0)));
-  const std::string path = ::testing::TempDir() + "/eval_caches_trunc.spill";
-  ASSERT_TRUE(registry.SaveToFile(path).ok());
-  std::string container;
-  {
-    std::FILE* f = std::fopen(path.c_str(), "rb");
-    ASSERT_NE(f, nullptr);
-    char buffer[4096];
-    size_t n;
-    while ((n = std::fread(buffer, 1, sizeof(buffer), f)) > 0) {
-      container.append(buffer, n);
-    }
-    std::fclose(f);
-  }
-  std::remove(path.c_str());
+  std::string container = SaveToString(registry);
 
   // A member length prefix pointing past the end of the container
   // (offset 16 is the first member's u64 length) must reject cleanly.
@@ -470,7 +478,7 @@ MlScenario CacheTestScenario() {
 // through the same reduction (DESIGN.md §2h preserves §2d).
 TEST(EngineSharedCacheTest, WarmRunSelectsIdenticallyWithoutEvaluating) {
   const MlScenario scenario = CacheTestScenario();
-  auto shared = std::make_shared<ShardedEvalCache>();
+  auto shared = std::make_shared<SharedEvalCache>();
   EngineOptions options;
   options.seed = 77;
   options.num_threads = 1;
@@ -507,7 +515,7 @@ TEST(EngineSharedCacheTest, SharedCacheDoesNotChangeSelection) {
   DfsEngine plain_engine(scenario, options);
   const RunResult plain = plain_engine.Run(*strategy);
 
-  options.shared_cache = std::make_shared<ShardedEvalCache>();
+  options.shared_cache = std::make_shared<SharedEvalCache>();
   auto strategy2 = fs::CreateStrategy(fs::StrategyId::kSfs, /*seed=*/5);
   DfsEngine shared_engine(scenario, options);
   const RunResult with_shared = shared_engine.Run(*strategy2);
@@ -523,7 +531,7 @@ TEST(EngineSharedCacheTest, SharedCacheDoesNotChangeSelection) {
 // path), and verify a run against the restored cache is still fully warm.
 TEST(EngineSharedCacheTest, WarmRestartServesFromRestoredSpill) {
   const MlScenario scenario = CacheTestScenario();
-  auto shared = std::make_shared<ShardedEvalCache>();
+  auto shared = std::make_shared<SharedEvalCache>();
   EngineOptions options;
   options.seed = 77;
   options.num_threads = 1;
@@ -534,7 +542,7 @@ TEST(EngineSharedCacheTest, WarmRestartServesFromRestoredSpill) {
   const RunResult cold = cold_engine.Run(*strategy);
   ASSERT_GT(cold.evaluations, 0);
 
-  auto restored = std::make_shared<ShardedEvalCache>();
+  auto restored = std::make_shared<SharedEvalCache>();
   ASSERT_TRUE(restored->RestoreState(shared->Serialize()).ok());
   options.shared_cache = restored;
 
@@ -550,7 +558,7 @@ TEST(EngineSharedCacheTest, WarmRestartServesFromRestoredSpill) {
 // Lookups, inserts, spills, restores and stats reads all race on one
 // cache. Run under TSan by scripts/check.sh --sanitize.
 TEST(EvalCacheChurnTest, ConcurrentLookupInsertSpillChurn) {
-  ShardedEvalCache cache;
+  SharedEvalCache cache;
   constexpr int kThreads = 8;
   constexpr uint32_t kMasks = 1024;
   std::atomic<bool> stop{false};
@@ -574,13 +582,12 @@ TEST(EvalCacheChurnTest, ConcurrentLookupInsertSpillChurn) {
             break;
           case 2:  // spill/restore + stats under load
             if (round % 16 == 0) {
-              ShardedEvalCache scratch_cache;
+              SharedEvalCache scratch_cache;
               if (!scratch_cache.RestoreState(cache.Serialize()).ok()) {
                 wrong.fetch_add(1);
               }
-            } else {
-              const EvalCacheStats stats = cache.Stats();
-              if (stats.shard_entries.size() != 16) wrong.fetch_add(1);
+            } else if (cache.Stats().entries > kMasks) {
+              wrong.fetch_add(1);
             }
             break;
         }

@@ -95,9 +95,7 @@ TEST(GeneticAlgorithmTest, ElitismPreservesBest) {
   // plus a generation count large enough to churn the population.
   const FeatureMask target = IndicesToMask(8, {2, 6});
   FakeEvalContext context(8, BitMismatchObjective(target), 1500);
-  GeneticAlgorithmOptions options;
-  options.elites = 2;
-  GeneticAlgorithmStrategy ga(24, options);
+  GeneticAlgorithmStrategy ga(24);
   ga.Run(context);
   EXPECT_LE(context.best_objective(), 1.0);
 }

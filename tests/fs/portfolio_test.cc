@@ -80,10 +80,7 @@ TEST(PortfolioTest, CacheMakesRestartsCheap) {
       rng);
   ASSERT_TRUE(scenario.ok());
   core::DfsEngine engine(*scenario, core::EngineOptions());
-  PortfolioOptions options;
-  options.initial_slice_seconds = 0.03;
-  TimeSlicedPortfolio portfolio({StrategyId::kSfs, StrategyId::kSfs}, 9,
-                                options);
+  TimeSlicedPortfolio portfolio({StrategyId::kSfs, StrategyId::kSfs}, 9);
   const core::RunResult result = engine.Run(portfolio);
   EXPECT_GT(result.cache_hits, 0);
 }

@@ -1,5 +1,5 @@
 // Fuzz harness for the binary eval-cache spill decoders (docs/CACHE.md):
-// ShardedEvalCache::RestoreState (DFSCACHE single-cache spill) and
+// SharedEvalCache::RestoreState (DFSCACHE single-cache spill) and
 // EvalCacheRegistry::RestoreFromString (DFSCREG1 container). The magics
 // differ, so feeding the same input to both costs one cheap rejection
 // and lets one corpus cover both formats. Decoders must reject hostile
@@ -16,8 +16,8 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
   const std::string blob(reinterpret_cast<const char*>(data), size);
   {
     // Fingerprint 0 matches what make_corpus.py writes into the valid
-    // seeds, so coverage reaches past the fingerprint check.
-    dfs::core::ShardedEvalCache cache(/*fingerprint=*/0);
+    // seeds, so the valid seeds decode and merge.
+    dfs::core::SharedEvalCache cache(/*fingerprint=*/0);
     (void)cache.RestoreState(blob);
   }
   {

@@ -326,7 +326,7 @@ TEST(DfsServerTest, CacheVerbReportsSharedCacheCounters) {
   for (const auto& [key, value] : response) keys.push_back(key);
   EXPECT_EQ(keys, (std::vector<std::string>{
                       "caches", "entries", "hits", "inserts", "misses", "ok",
-                      "restores", "shard_entries", "spills"}));
+                      "restores", "spills"}));
   EXPECT_TRUE(GetBool(response, "ok").value_or(false));
   EXPECT_GE(GetNumber(response, "hits").value_or(-1), 1.0);
   EXPECT_EQ(GetNumber(response, "inserts").value_or(-1),
@@ -369,6 +369,48 @@ TEST(DfsServerTest, ResultStoreEvictsByTtl) {
   // The sweep runs on submission.
   ASSERT_TRUE(server.Submit(EasyJob()).ok());
   EXPECT_EQ(server.GetStatus(*id).status().code(), StatusCode::kNotFound);
+}
+
+// Over the retention cap the sweep evicts terminal jobs oldest-terminal
+// first (here b, cancelled before a despite its larger id), and never a
+// queued or running job, even when only those remain over the cap.
+TEST(DfsServerTest, ResultStoreEvictsOldestTerminalOverCap) {
+  ServerOptions options = FastOptions(/*workers=*/1, /*capacity=*/8);
+  options.max_retained_jobs = 2;
+  DfsServer server(options);
+  server.RegisterDataset(kDataset, testing::MakeLinearDataset(200, 4, 1234));
+  server.RegisterDataset(kWideDataset,
+                         testing::MakeLinearDataset(200, 20, 1234));
+  auto running = server.Submit(EndlessJob(30.0));
+  ASSERT_TRUE(running.ok());
+  ASSERT_TRUE(WaitForState(server, *running, JobState::kRunning, 10.0).ok());
+  auto a = server.Submit(EasyJob(1));
+  auto b = server.Submit(EasyJob(2));
+  ASSERT_TRUE(a.ok());
+  ASSERT_TRUE(b.ok());
+  ASSERT_TRUE(server.Cancel(*b).ok());
+  ASSERT_TRUE(server.Cancel(*a).ok());
+
+  // The sweep runs on submission: {running, a, b} is over the cap of 2.
+  auto queued = server.Submit(EasyJob(3));
+  ASSERT_TRUE(queued.ok());
+  EXPECT_EQ(server.GetStatus(*b).status().code(), StatusCode::kNotFound);
+  EXPECT_TRUE(server.GetStatus(*a).ok());
+
+  auto c = server.Submit(EasyJob(4));
+  ASSERT_TRUE(c.ok());
+  EXPECT_EQ(server.GetStatus(*a).status().code(), StatusCode::kNotFound);
+
+  // Only live jobs remain: over the cap, but none is evictable.
+  auto d = server.Submit(EasyJob(5));
+  ASSERT_TRUE(d.ok());
+  for (const JobId id : {*running, *queued, *c, *d}) {
+    auto view = server.GetStatus(id);
+    ASSERT_TRUE(view.ok()) << "job " << id;
+    EXPECT_FALSE(IsTerminalState(view->state)) << "job " << id;
+  }
+  EXPECT_EQ(server.Stats().retained_jobs, 4u);
+  server.Shutdown(/*cancel_pending=*/true);
 }
 
 TEST(DfsServerTest, ShutdownCancelsPendingWork) {

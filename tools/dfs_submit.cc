@@ -125,8 +125,8 @@ void RegisterFlags(FlagParser& parser, ClientOptions& options) {
                  "per-strategy route counts",
                  &options.router);
   parser.AddBool("cache",
-                 "fetch the shared eval-cache counters (hits, misses, "
-                 "filter negatives, spills/restores, shard occupancy)",
+                 "fetch the shared eval-cache counters (caches, entries, "
+                 "hits, misses, inserts, spills/restores)",
                  &options.cache);
   parser.AddBool("ping", "health-check the service", &options.ping);
   parser.AddBool("shutdown", "ask the daemon to shut down",
