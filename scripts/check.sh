@@ -4,7 +4,8 @@
 #   scripts/check.sh               # the tier-1 gate from ROADMAP.md
 #   scripts/check.sh --sanitize    # additionally run the concurrent tests
 #                                  # (serve_test, util_test, router_test,
-#                                  # engine_parallel_test, eval_cache_test,
+#                                  # engine_parallel_test, core_test's
+#                                  # ExperimentPool* tests, eval_cache_test,
 #                                  # engine_golden_test, kernels_test)
 #                                  # under TSan, and the zero-copy
 #                                  # evaluation tests (engine_golden_test,
@@ -230,11 +231,14 @@ if [[ "${1:-}" == "--sanitize" || "${1:-}" == "--all" ]]; then
   # the engine's scratch pool across threads.
   cmake -B build-tsan -S . -DDFS_SANITIZE=thread
   cmake --build build-tsan -j --target serve_test util_test router_test \
-    engine_parallel_test eval_cache_test engine_golden_test kernels_test
+    engine_parallel_test core_test eval_cache_test engine_golden_test \
+    kernels_test
   ./build-tsan/tests/serve_test
   ./build-tsan/tests/util_test
   ./build-tsan/tests/router_test
   ./build-tsan/tests/engine_parallel_test
+  # The pool's cells write their scenario records from several threads.
+  ./build-tsan/tests/core_test --gtest_filter='ExperimentPool*'
   ./build-tsan/tests/eval_cache_test
   ./build-tsan/tests/engine_golden_test
   ./build-tsan/tests/kernels_test

@@ -72,27 +72,32 @@ uint64_t FeasibleMaskCount(int n, int max_k) {
 
 }  // namespace
 
-DfsEngine::DfsEngine(MlScenario scenario, const EngineOptions& options)
+DfsEngine::DfsEngine(std::shared_ptr<const MlScenario> scenario,
+                     const EngineOptions& options)
     : scenario_(std::move(scenario)),
       options_(options),
       rng_(options.seed),
       batch_threads_(options.num_threads > 0 ? options.num_threads
                                              : HardwareThreadBudget()) {}
 
+DfsEngine::DfsEngine(MlScenario scenario, const EngineOptions& options)
+    : DfsEngine(std::make_shared<const MlScenario>(std::move(scenario)),
+                options) {}
+
 int DfsEngine::num_features() const {
-  return scenario_.split.train.num_features();
+  return scenario_->split.train.num_features();
 }
 
 int DfsEngine::max_feature_count() const {
-  return scenario_.constraint_set.MaxFeatureCount(num_features());
+  return scenario_->constraint_set.MaxFeatureCount(num_features());
 }
 
 const constraints::ConstraintSet& DfsEngine::constraint_set() const {
-  return scenario_.constraint_set;
+  return scenario_->constraint_set;
 }
 
 const data::Dataset& DfsEngine::train_data() const {
-  return scenario_.split.train;
+  return scenario_->split.train;
 }
 
 bool DfsEngine::ExternallyCancelled() const {
@@ -165,18 +170,18 @@ void DfsEngine::ReleaseScratch(std::unique_ptr<EvalScratch> scratch) {
 StatusOr<std::unique_ptr<ml::Classifier>> DfsEngine::TrainModel(
     const std::vector<int>& features, EvalScratch& scratch) {
   obs::ScopedTimer fit_timer(EngineMetrics::Get().fit_seconds);
-  const auto& split = scenario_.split;
+  const auto& split = scenario_->split;
   scratch.validation_gathered = false;
   split.train.GatherInto(features, &scratch.train_x);
   const auto& train_y = split.train.labels();
   const bool is_private =
-      scenario_.constraint_set.privacy_epsilon.has_value();
+      scenario_->constraint_set.privacy_epsilon.has_value();
   const double epsilon =
-      scenario_.constraint_set.privacy_epsilon.value_or(0.0);
+      scenario_->constraint_set.privacy_epsilon.value_or(0.0);
 
   std::vector<ml::Hyperparameters> grid;
   if (options_.use_hpo) {
-    grid = ml::HyperparameterGrid(scenario_.model);
+    grid = ml::HyperparameterGrid(scenario_->model);
   } else {
     grid.push_back(ml::Hyperparameters());
   }
@@ -192,11 +197,11 @@ StatusOr<std::unique_ptr<ml::Classifier>> DfsEngine::TrainModel(
   for (const auto& params : grid) {
     std::unique_ptr<ml::Classifier> model =
         is_private
-            ? ml::CreateDpClassifier(scenario_.model, params, epsilon,
+            ? ml::CreateDpClassifier(scenario_->model, params, epsilon,
                                      options_.seed ^ fs::MaskHash(
                                          fs::IndicesToMask(num_features(),
                                                            features)))
-            : ml::CreateClassifier(scenario_.model, params);
+            : ml::CreateClassifier(scenario_->model, params);
     DFS_RETURN_IF_ERROR(model->Fit(scratch.train_x, train_y));
     if (grid.size() == 1) return model;
     model->PredictBatch(scratch.validation_x, &scratch.predictions);
@@ -224,11 +229,11 @@ constraints::MetricValues DfsEngine::Measure(const ml::Classifier& model,
 
   model.PredictBatch(x, &scratch.predictions);
   values.f1 = metrics::F1Score(split.labels(), scratch.predictions);
-  if (scenario_.constraint_set.min_equal_opportunity.has_value()) {
+  if (scenario_->constraint_set.min_equal_opportunity.has_value()) {
     values.equal_opportunity = metrics::EqualOpportunity(
         split.labels(), scratch.predictions, split.groups());
   }
-  if (scenario_.constraint_set.min_safety.has_value()) {
+  if (scenario_->constraint_set.min_safety.has_value()) {
     values.safety = metrics::EmpiricalRobustness(model, x, split.labels(),
                                                  rng, options_.robustness);
   }
@@ -258,26 +263,26 @@ DfsEngine::EvaluatedMask DfsEngine::EvaluateUncached(
   // Under HPO the TrainModel loop already gathered validation for this
   // feature set; otherwise gather it here — exactly once either way.
   if (!scratch->validation_gathered) {
-    scenario_.split.validation.GatherInto(features, &scratch->validation_x);
+    scenario_->split.validation.GatherInto(features, &scratch->validation_x);
   }
-  outcome.validation = Measure(**model, features, scenario_.split.validation,
+  outcome.validation = Measure(**model, features, scenario_->split.validation,
                                scratch->validation_x, eval_rng, *scratch);
-  outcome.distance = scenario_.constraint_set.Distance(outcome.validation);
-  outcome.objective = scenario_.constraint_set.Objective(
+  outcome.distance = scenario_->constraint_set.Distance(outcome.validation);
+  outcome.objective = scenario_->constraint_set.Objective(
       outcome.validation, options_.maximize_f1_utility);
   outcome.satisfied_validation =
-      scenario_.constraint_set.Satisfied(outcome.validation);
+      scenario_->constraint_set.Satisfied(outcome.validation);
 
   // Figure-2 workflow: only subsets that satisfy validation are confirmed
   // on test, so the test gather happens only behind this gate. (Repeated
   // test-set checking is the paper's protocol; the test metrics are
   // reported, not searched over, except for this gate.)
   if (outcome.satisfied_validation) {
-    scenario_.split.test.GatherInto(features, &scratch->test_x);
-    result.test_values = Measure(**model, features, scenario_.split.test,
+    scenario_->split.test.GatherInto(features, &scratch->test_x);
+    result.test_values = Measure(**model, features, scenario_->split.test,
                                  scratch->test_x, eval_rng, *scratch);
     result.have_test_values = true;
-    outcome.success = scenario_.constraint_set.Satisfied(result.test_values);
+    outcome.success = scenario_->constraint_set.Satisfied(result.test_values);
   }
 
   // Wall-clock of the evaluation proper (train + measure + confirm);
@@ -315,7 +320,7 @@ void DfsEngine::RecordOutcome(const fs::FeatureMask& mask,
     if (result.have_test_values) {
       result_.test_values = result.test_values;
       result_.best_distance_test =
-          scenario_.constraint_set.Distance(result.test_values);
+          scenario_->constraint_set.Distance(result.test_values);
       result_.test_f1 = result.test_values.f1;
     } else {
       result_.best_distance_test = 1e18;  // recomputed at end of Run
@@ -476,31 +481,32 @@ StatusOr<std::vector<double>> DfsEngine::FittedImportances(
   if (features.empty()) return InvalidArgumentError("empty mask");
   // Default parameters: importances guide the search; HPO-quality fits are
   // not worth the cost here (matching RFE practice).
-  const bool is_private = scenario_.constraint_set.privacy_epsilon.has_value();
+  const bool is_private = scenario_->constraint_set.privacy_epsilon.has_value();
   std::unique_ptr<ml::Classifier> model =
       is_private ? ml::CreateDpClassifier(
-                       scenario_.model, ml::Hyperparameters(),
-                       *scenario_.constraint_set.privacy_epsilon,
+                       scenario_->model, ml::Hyperparameters(),
+                       *scenario_->constraint_set.privacy_epsilon,
                        options_.seed)
-                 : ml::CreateClassifier(scenario_.model,
+                 : ml::CreateClassifier(scenario_->model,
                                         ml::Hyperparameters());
   ScratchLease scratch(*this);
-  scenario_.split.train.GatherInto(features, &scratch->train_x);
+  scenario_->split.train.GatherInto(features, &scratch->train_x);
   DFS_RETURN_IF_ERROR(
-      model->Fit(scratch->train_x, scenario_.split.train.labels()));
+      model->Fit(scratch->train_x, scenario_->split.train.labels()));
   auto native = model->FeatureImportances();
   if (native.has_value()) return *native;
   // Fallback: permutation importance on the validation split (the costly
   // path the paper attributes to NB under RFE).
-  scenario_.split.validation.GatherInto(features, &scratch->validation_x);
+  scenario_->split.validation.GatherInto(features, &scratch->validation_x);
   return ml::PermutationImportance(*model, scratch->validation_x,
-                                   scenario_.split.validation.labels(),
+                                   scenario_->split.validation.labels(),
                                    /*repeats=*/1, rng_);
 }
 
 RunResult DfsEngine::Run(fs::FeatureSelectionStrategy& strategy) {
   // Reset per-run state.
   result_ = RunResult();
+  rng_ = Rng(options_.seed);
   memo_.clear();
   feasible_masks_ = FeasibleMaskCount(num_features(), max_feature_count());
   feasible_covered_ = 0;
@@ -509,7 +515,7 @@ RunResult DfsEngine::Run(fs::FeatureSelectionStrategy& strategy) {
   cancel_observed_.reset();
   cancel_seen_.store(false, std::memory_order_release);
   deadline_ =
-      Deadline::AfterSeconds(scenario_.constraint_set.max_search_seconds);
+      Deadline::AfterSeconds(scenario_->constraint_set.max_search_seconds);
   stopwatch_.Restart();
 
   // Per-strategy instruments ("strategy.<label>.*") attribute evaluation
@@ -568,12 +574,12 @@ RunResult DfsEngine::Run(fs::FeatureSelectionStrategy& strategy) {
     auto model = TrainModel(features, *scratch);
     if (model.ok()) {
       Rng final_rng(EvalSeed(result_.selected));
-      scenario_.split.test.GatherInto(features, &scratch->test_x);
+      scenario_->split.test.GatherInto(features, &scratch->test_x);
       result_.test_values =
-          Measure(**model, features, scenario_.split.test, scratch->test_x,
+          Measure(**model, features, scenario_->split.test, scratch->test_x,
                   final_rng, *scratch);
       result_.best_distance_test =
-          scenario_.constraint_set.Distance(result_.test_values);
+          scenario_->constraint_set.Distance(result_.test_values);
       result_.test_f1 = result_.test_values.f1;
     }
   }

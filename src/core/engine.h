@@ -116,12 +116,18 @@ struct RunResult {
 /// ordering/determinism contract).
 class DfsEngine : public fs::EvalContext {
  public:
-  /// The scenario is copied: the engine's lifetime is then independent of
-  /// the caller's (temporaries are safe to pass).
+  /// The engine only reads the scenario, so engines racing different
+  /// strategies on one scenario can share a single copy.
+  DfsEngine(std::shared_ptr<const MlScenario> scenario,
+            const EngineOptions& options);
+  /// The scenario is moved into a private shared copy: the engine's
+  /// lifetime is then independent of the caller's (temporaries are safe to
+  /// pass).
   DfsEngine(MlScenario scenario, const EngineOptions& options);
 
   /// Runs `strategy` against the scenario and reports the outcome. Resets
-  /// engine state, so one engine can race several strategies sequentially.
+  /// engine state, the engine RNG included, so one engine can race several
+  /// strategies sequentially and each run starts as on a fresh engine.
   RunResult Run(fs::FeatureSelectionStrategy& strategy);
 
   // --- fs::EvalContext ------------------------------------------------
@@ -279,7 +285,7 @@ class DfsEngine : public fs::EvalContext {
   /// stamps the first observation (see cancel_observed_).
   bool ExternallyCancelled() const;
 
-  MlScenario scenario_;
+  std::shared_ptr<const MlScenario> scenario_;
   EngineOptions options_;
   Rng rng_;
   /// Resolved thread budget for EvaluateBatch (>= 1).

@@ -1,10 +1,12 @@
 #include "core/experiment.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
+#include <memory>
 
 #include "core/suite_version.h"
 #include "data/benchmark_suite.h"
@@ -41,6 +43,15 @@ std::string OptToString(const std::optional<double>& value) {
 std::optional<double> OptFromString(const std::string& text) {
   if (text == "-") return std::nullopt;
   return std::atof(text.c_str());
+}
+
+std::vector<std::string> PoolCsvHeader() {
+  return {"config_hash", "scenario_id", "dataset_index", "dataset_name",
+          "model", "min_f1", "max_search_seconds", "max_feature_fraction",
+          "min_eo", "min_safety", "privacy_epsilon", "rows", "features",
+          "strategy", "success", "seconds", "distance_validation",
+          "distance_test", "test_f1", "timed_out", "search_exhausted",
+          "evaluations"};
 }
 
 }  // namespace
@@ -90,18 +101,21 @@ StatusOr<ExperimentPool> ExperimentPool::Run(const ExperimentConfig& config,
   ExperimentPool pool;
   pool.config_ = config;
 
-  // Phase 1 (serial): sample every scenario from the shared sampler RNG and
-  // generate each benchmark dataset exactly once. Sampling order is the
-  // contract that keeps scenario s identical regardless of parallelism.
+  // Phase 1 (serial): sample every scenario from the shared sampler RNG,
+  // generate each benchmark dataset exactly once and build each scenario's
+  // split once. Sampling order is the contract that keeps scenario s
+  // identical regardless of parallelism. A scenario is read-only from here
+  // on: every cell's engine shares it.
   Rng sampler_rng(config.seed);
   std::vector<std::optional<data::Dataset>> datasets(data::BenchmarkSize());
-  std::vector<SampledScenario> sampled_scenarios;
-  sampled_scenarios.reserve(config.num_scenarios);
+  std::vector<std::shared_ptr<const MlScenario>> scenarios;
+  scenarios.reserve(config.num_scenarios);
+  pool.records_.resize(config.num_scenarios);
   for (int s = 0; s < config.num_scenarios; ++s) {
     SamplerOptions sampler = config.sampler;
     sampler.min_search_seconds *= config.time_scale;
     sampler.max_search_seconds *= config.time_scale;
-    SampledScenario sampled =
+    const SampledScenario sampled =
         SampleScenario(data::BenchmarkSize(), sampler, sampler_rng);
     auto& dataset_slot = datasets[sampled.dataset_index];
     if (!dataset_slot.has_value()) {
@@ -111,26 +125,9 @@ StatusOr<ExperimentPool> ExperimentPool::Run(const ExperimentConfig& config,
                                          config.row_scale));
       dataset_slot = std::move(dataset);
     }
-    sampled_scenarios.push_back(std::move(sampled));
-  }
+    const data::Dataset& dataset = *dataset_slot;
 
-  // Phase 2 (parallel): each scenario runs independently — it has its own
-  // derived seeds and its own engine — so the outer loop is a plain
-  // ParallelFor. The process thread budget is split between the outer loop
-  // and each engine's inner EvaluateBatch parallelism so the two layers do
-  // not multiply into oversubscription. Records land in a pre-sized vector
-  // indexed by scenario id, so results are positionally identical to the
-  // serial order no matter which scenario finishes first.
-  const int budget = HardwareThreadBudget();
-  const int outer = std::max(1, std::min(budget, config.num_scenarios));
-  pool.records_.resize(config.num_scenarios);
-  std::vector<Status> statuses(config.num_scenarios, OkStatus());
-
-  ParallelFor(config.num_scenarios, outer, [&](int s) {
-    const SampledScenario& sampled = sampled_scenarios[s];
-    const data::Dataset& dataset = *datasets[sampled.dataset_index];
-
-    ScenarioRecord record;
+    ScenarioRecord& record = pool.records_[s];
     record.scenario_id = s;
     record.dataset_index = sampled.dataset_index;
     record.dataset_name = dataset.name();
@@ -138,59 +135,83 @@ StatusOr<ExperimentPool> ExperimentPool::Run(const ExperimentConfig& config,
     record.constraint_set = sampled.constraint_set;
     record.rows = dataset.num_rows();
     record.features = dataset.num_features();
+    record.outcomes.resize(config.strategies.size());
 
     Rng split_rng(config.seed * 7919 + s);
-    auto scenario = MakeScenario(dataset, sampled.model,
-                                 sampled.constraint_set, split_rng);
-    if (!scenario.ok()) {
-      statuses[s] = scenario.status();
-      return;
-    }
+    DFS_ASSIGN_OR_RETURN(MlScenario scenario,
+                         MakeScenario(dataset, sampled.model,
+                                      sampled.constraint_set, split_rng));
+    scenarios.push_back(
+        std::make_shared<const MlScenario>(std::move(scenario)));
+  }
 
+  // Phase 2 (parallel): the unit of work is one (scenario, strategy) cell,
+  // run on its own engine over the shared scenario. Each cell's seeds derive
+  // from (scenario, position) alone, and each engine starts from fresh state,
+  // so a cell's outcome does not depend on which thread runs it or on what
+  // ran before it. Cells start longest budget first (ParallelFor hands out
+  // indices in order), so the longest cells do not form the pool's tail.
+  // The thread budget is split between the cells and each engine's inner
+  // EvaluateBatch parallelism so the two layers do not multiply into
+  // oversubscription. Outcomes land positionally in pre-sized records, so
+  // the pool is identical to the serial order no matter which cell finishes
+  // first.
+  const int num_strategies = static_cast<int>(config.strategies.size());
+  const int num_cells = config.num_scenarios * num_strategies;
+  std::vector<int> cells(num_cells);
+  for (int c = 0; c < num_cells; ++c) cells[c] = c;
+  std::stable_sort(cells.begin(), cells.end(), [&](int a, int b) {
+    return scenarios[a / num_strategies]->constraint_set.max_search_seconds >
+           scenarios[b / num_strategies]->constraint_set.max_search_seconds;
+  });
+
+  const int budget = HardwareThreadBudget();
+  const int outer = std::max(1, std::min(budget, num_cells));
+  std::vector<std::atomic<int>> cells_left(config.num_scenarios);
+  for (auto& left : cells_left) left.store(num_strategies);
+
+  ParallelFor(num_cells, outer, [&](int c) {
+    const int s = cells[c] / num_strategies;
+    const int i = cells[c] % num_strategies;
     EngineOptions engine_options;
     engine_options.use_hpo = config.use_hpo;
     engine_options.maximize_f1_utility = config.utility_mode;
     engine_options.robustness = config.robustness;
     engine_options.seed = config.seed * 104729 + s;
     engine_options.num_threads = std::max(1, budget / outer);
-    DfsEngine engine(*scenario, engine_options);
+    DfsEngine engine(scenarios[s], engine_options);
 
-    for (size_t i = 0; i < config.strategies.size(); ++i) {
-      const fs::StrategyId id = config.strategies[i];
-      auto strategy =
-          fs::CreateStrategy(id, engine_options.seed * 31 + i + 1);
-      const RunResult result = engine.Run(*strategy);
-      StrategyOutcome outcome;
-      outcome.id = id;
-      outcome.success = result.success;
-      outcome.seconds = result.search_seconds;
-      outcome.distance_validation = result.best_distance_validation;
-      outcome.distance_test = result.best_distance_test;
-      outcome.test_f1 = result.test_f1;
-      outcome.timed_out = result.timed_out;
-      outcome.search_exhausted = result.search_exhausted;
-      outcome.evaluations = result.evaluations;
-      record.outcomes.push_back(outcome);
+    const fs::StrategyId id = config.strategies[i];
+    auto strategy = fs::CreateStrategy(id, engine_options.seed * 31 + i + 1);
+    const RunResult result = engine.Run(*strategy);
+    ScenarioRecord& record = pool.records_[s];
+    StrategyOutcome& outcome = record.outcomes[i];
+    outcome.id = id;
+    outcome.success = result.success;
+    outcome.seconds = result.search_seconds;
+    outcome.distance_validation = result.best_distance_validation;
+    outcome.distance_test = result.best_distance_test;
+    outcome.test_f1 = result.test_f1;
+    outcome.timed_out = result.timed_out;
+    outcome.search_exhausted = result.search_exhausted;
+    outcome.evaluations = result.evaluations;
+
+    // The cell that finishes a scenario reports it; the acq_rel decrement
+    // makes every other cell's outcome of that scenario visible here.
+    if (cells_left[s].fetch_sub(1, std::memory_order_acq_rel) != 1 ||
+        !verbose) {
+      return;
     }
-    if (verbose) {
-      int successes = 0;
-      for (const auto& outcome : record.outcomes) {
-        successes += outcome.success ? 1 : 0;
-      }
-      // Completion order scrambles under parallelism; the scenario id keeps
-      // the lines attributable.
-      DFS_LOG(ERROR) << "scenario " << s + 1 << "/" << config.num_scenarios
-                     << " [" << record.dataset_name << ", "
-                     << ml::ModelKindToString(record.model) << ", "
-                     << record.constraint_set.ToString() << "] solved by "
-                     << successes << "/" << record.outcomes.size();
-    }
-    pool.records_[s] = std::move(record);
+    int successes = 0;
+    for (const auto& done : record.outcomes) successes += done.success ? 1 : 0;
+    // Completion order scrambles under parallelism; the scenario id keeps
+    // the lines attributable.
+    DFS_LOG(ERROR) << "scenario " << s + 1 << "/" << config.num_scenarios
+                   << " [" << record.dataset_name << ", "
+                   << ml::ModelKindToString(record.model) << ", "
+                   << record.constraint_set.ToString() << "] solved by "
+                   << successes << "/" << record.outcomes.size();
   });
-
-  for (const Status& status : statuses) {
-    if (!status.ok()) return status;
-  }
   return pool;
 }
 
@@ -215,13 +236,7 @@ StatusOr<ExperimentPool> ExperimentPool::RunOrLoad(
 
 Status ExperimentPool::SaveCsv(const std::string& path) const {
   CsvTable table;
-  table.header = {"config_hash", "scenario_id", "dataset_index",
-                  "dataset_name", "model", "min_f1", "max_search_seconds",
-                  "max_feature_fraction", "min_eo", "min_safety",
-                  "privacy_epsilon", "rows", "features", "strategy",
-                  "success", "seconds", "distance_validation",
-                  "distance_test", "test_f1", "timed_out",
-                  "search_exhausted", "evaluations"};
+  table.header = PoolCsvHeader();
   const std::string hash = std::to_string(config_.Hash());
   for (const auto& record : records_) {
     for (const auto& outcome : record.outcomes) {
@@ -251,12 +266,27 @@ Status ExperimentPool::SaveCsv(const std::string& path) const {
       });
     }
   }
-  return WriteCsvFile(table, path);
+  // Write aside, then rename: a run killed mid-write leaves only the
+  // temporary, never a truncated pool at `path`.
+  const std::string tmp_path = path + ".tmp";
+  DFS_RETURN_IF_ERROR(WriteCsvFile(table, tmp_path));
+  std::error_code ec;
+  std::filesystem::rename(tmp_path, path, ec);
+  if (ec) {
+    return InternalError("cannot rename " + tmp_path + " to " + path + ": " +
+                         ec.message());
+  }
+  return OkStatus();
 }
 
 StatusOr<ExperimentPool> ExperimentPool::LoadCsv(
     const std::string& path, const ExperimentConfig& config) {
   DFS_ASSIGN_OR_RETURN(CsvTable table, ReadCsvFile(path));
+  // ParseCsv gives every row the header's width, so a matching header makes
+  // every column index below valid.
+  if (table.header != PoolCsvHeader()) {
+    return FailedPreconditionError("cache header mismatch");
+  }
   const std::string expected_hash = std::to_string(config.Hash());
 
   ExperimentPool pool;
@@ -298,6 +328,19 @@ StatusOr<ExperimentPool> ExperimentPool::LoadCsv(
   }
   if (static_cast<int>(pool.records_.size()) != config.num_scenarios) {
     return FailedPreconditionError("cache scenario count mismatch");
+  }
+  // A file cut at a row boundary still parses; its last scenario then lacks
+  // outcomes.
+  for (const auto& record : pool.records_) {
+    bool complete = record.outcomes.size() == config.strategies.size();
+    for (size_t i = 0; complete && i < record.outcomes.size(); ++i) {
+      complete = record.outcomes[i].id == config.strategies[i];
+    }
+    if (!complete) {
+      return FailedPreconditionError(
+          "cache outcomes of scenario " + std::to_string(record.scenario_id) +
+          " do not match the configured strategies");
+    }
   }
   return pool;
 }

@@ -59,7 +59,7 @@ void ParallelFor(int count, int num_threads,
                  const std::function<void(int)>& fn);
 
 /// Process-wide thread budget for parallel work (batched wrapper
-/// evaluation, the serve worker fleet, the bench harness's scenario loop):
+/// evaluation, the serve worker fleet, the bench harness's cell loop):
 /// the DFS_THREADS environment variable when set to a positive integer,
 /// otherwise std::thread::hardware_concurrency(). Always >= 1.
 int HardwareThreadBudget();

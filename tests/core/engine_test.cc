@@ -444,5 +444,27 @@ TEST(DfsEngineTest, FittedImportancesFallsBackToPermutationForNb) {
   EXPECT_EQ(importances->size(), 6u);
 }
 
+// RFE(model) on NB draws its permutation importances from the engine RNG.
+// Run resets that RNG with the rest of the per-run state, so a reused
+// engine reproduces a fresh engine's run whatever ran on it before.
+TEST(DfsEngineTest, RunResetsEngineRngBetweenRuns) {
+  const auto scenario = std::make_shared<const MlScenario>(MakeTestScenario(
+      UnreachableSet(), ml::ModelKind::kNaiveBayes, 300, 10));
+  DfsEngine fresh(scenario, EngineOptions());
+  const RunResult expected =
+      fresh.Run(*fs::CreateStrategy(fs::StrategyId::kRfe, 3));
+  ASSERT_FALSE(expected.timed_out);
+
+  DfsEngine reused(scenario, EngineOptions());
+  reused.Run(*fs::CreateStrategy(fs::StrategyId::kRfe, 3));
+  reused.Run(*fs::CreateStrategy(fs::StrategyId::kSfs, 4));
+  const RunResult actual =
+      reused.Run(*fs::CreateStrategy(fs::StrategyId::kRfe, 3));
+  ASSERT_FALSE(actual.timed_out);
+  EXPECT_EQ(actual.selected, expected.selected);
+  EXPECT_EQ(actual.evaluations, expected.evaluations);
+  EXPECT_EQ(actual.best_distance_validation, expected.best_distance_validation);
+}
+
 }  // namespace
 }  // namespace dfs::core

@@ -4,6 +4,13 @@
 
 #include <cstdlib>
 #include <filesystem>
+#include <fstream>
+#include <memory>
+#include <sstream>
+#include <string>
+
+#include "data/benchmark_suite.h"
+#include "util/csv.h"
 
 namespace dfs::core {
 namespace {
@@ -137,6 +144,155 @@ TEST(ExperimentPoolTest, RunOrLoadUsesCache) {
     }
   }
   std::remove(path.c_str());
+}
+
+// Writes `lines` of `path` (header included) back to `path`.
+void KeepLines(const std::string& path, int lines) {
+  std::ifstream in(path);
+  std::stringstream kept;
+  std::string line;
+  for (int i = 0; i < lines && std::getline(in, line); ++i) {
+    kept << line << '\n';
+  }
+  in.close();
+  std::ofstream(path) << kept.str();
+}
+
+TEST(ExperimentPoolTest, LoadRejectsFileCutAtRowBoundary) {
+  const std::string path =
+      (std::filesystem::temp_directory_path() / "dfs_pool_cut.csv").string();
+  ASSERT_TRUE(SmallPool().SaveCsv(path).ok());
+  EXPECT_FALSE(std::filesystem::exists(path + ".tmp"));
+  ASSERT_TRUE(ExperimentPool::LoadCsv(path, SmallConfig()).ok());
+  // Header + 3 full scenarios + 2 of the last scenario's 4 rows: the
+  // scenario count still matches, the last scenario's outcomes do not.
+  KeepLines(path, 1 + 3 * 4 + 2);
+  const auto loaded = ExperimentPool::LoadCsv(path, SmallConfig());
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), StatusCode::kFailedPrecondition);
+  std::remove(path.c_str());
+}
+
+TEST(ExperimentPoolTest, LoadRejectsHeaderWithDroppedColumn) {
+  const std::string path =
+      (std::filesystem::temp_directory_path() / "dfs_pool_header.csv")
+          .string();
+  ASSERT_TRUE(SmallPool().SaveCsv(path).ok());
+  auto read = ReadCsvFile(path);
+  ASSERT_TRUE(read.ok());
+  CsvTable table = std::move(read).value();
+  // Drop the last column everywhere, so the file still parses.
+  table.header.pop_back();
+  for (auto& row : table.rows) row.pop_back();
+  ASSERT_TRUE(WriteCsvFile(table, path).ok());
+  const auto loaded = ExperimentPool::LoadCsv(path, SmallConfig());
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), StatusCode::kFailedPrecondition);
+  std::remove(path.c_str());
+}
+
+TEST(ExperimentPoolTest, RunOrLoadRecomputesTruncatedCache) {
+  const std::string path =
+      (std::filesystem::temp_directory_path() / "dfs_pool_recompute.csv")
+          .string();
+  ASSERT_TRUE(SmallPool().SaveCsv(path).ok());
+  KeepLines(path, 1 + 3 * 4 + 2);
+  auto pool = ExperimentPool::RunOrLoad(SmallConfig(), path, false);
+  ASSERT_TRUE(pool.ok());
+  for (const auto& record : pool->records()) {
+    EXPECT_EQ(record.outcomes.size(), SmallConfig().strategies.size());
+  }
+  EXPECT_TRUE(ExperimentPool::LoadCsv(path, SmallConfig()).ok());
+  std::remove(path.c_str());
+}
+
+// Only strategies whose search never reads the clock, with budgets far
+// above need: no deadline can bite, so every cell is a pure function of its
+// seeds, whatever the thread count and the schedule.
+ExperimentConfig ClockFreeConfig() {
+  ExperimentConfig config;
+  config.num_scenarios = 3;
+  config.use_hpo = false;
+  config.seed = 5;
+  config.row_scale = 0.05;
+  config.sampler.min_search_seconds = 600.0;
+  config.sampler.max_search_seconds = 1200.0;
+  config.strategies = {fs::StrategyId::kOriginalFeatureSet,
+                       fs::StrategyId::kSfs, fs::StrategyId::kSbs,
+                       fs::StrategyId::kRfe};
+  return config;
+}
+
+ExperimentPool RunWithThreads(const char* threads) {
+  setenv("DFS_THREADS", threads, 1);
+  auto pool = ExperimentPool::Run(ClockFreeConfig(), /*verbose=*/false);
+  unsetenv("DFS_THREADS");
+  DFS_CHECK(pool.ok()) << pool.status().ToString();
+  return std::move(pool).value();
+}
+
+void ExpectSameCell(const StrategyOutcome& a, const StrategyOutcome& b) {
+  EXPECT_EQ(a.id, b.id);
+  EXPECT_EQ(a.success, b.success);
+  EXPECT_EQ(a.distance_validation, b.distance_validation);
+  EXPECT_EQ(a.distance_test, b.distance_test);
+  EXPECT_EQ(a.test_f1, b.test_f1);
+  EXPECT_EQ(a.timed_out, b.timed_out);
+  EXPECT_EQ(a.search_exhausted, b.search_exhausted);
+  EXPECT_EQ(a.evaluations, b.evaluations);
+}
+
+TEST(ExperimentPoolTest, ClockFreeCellsIgnoreThreadCountAndSchedule) {
+  const ExperimentConfig config = ClockFreeConfig();
+  const ExperimentPool serial = RunWithThreads("1");
+  const ExperimentPool parallel = RunWithThreads("4");
+  ASSERT_EQ(serial.records().size(), parallel.records().size());
+  for (size_t s = 0; s < serial.records().size(); ++s) {
+    const ScenarioRecord& a = serial.records()[s];
+    const ScenarioRecord& b = parallel.records()[s];
+    EXPECT_EQ(a.dataset_index, b.dataset_index);
+    EXPECT_EQ(a.model, b.model);
+    ASSERT_EQ(a.outcomes.size(), config.strategies.size());
+    ASSERT_EQ(b.outcomes.size(), config.strategies.size());
+
+    // The cell's standalone run: same scenario, same engine and strategy
+    // seeds, fresh engine.
+    auto dataset = data::GenerateBenchmarkDataset(a.dataset_index, config.seed,
+                                                  config.row_scale);
+    ASSERT_TRUE(dataset.ok());
+    Rng split_rng(config.seed * 7919 + s);
+    auto scenario =
+        MakeScenario(*dataset, a.model, a.constraint_set, split_rng);
+    ASSERT_TRUE(scenario.ok());
+    const auto shared =
+        std::make_shared<const MlScenario>(std::move(scenario).value());
+    EngineOptions options;
+    options.robustness = config.robustness;
+    options.seed = config.seed * 104729 + s;
+    options.num_threads = 1;
+
+    for (size_t i = 0; i < config.strategies.size(); ++i) {
+      SCOPED_TRACE("scenario " + std::to_string(s) + " cell " +
+                   std::to_string(i));
+      EXPECT_FALSE(a.outcomes[i].timed_out);
+      ExpectSameCell(a.outcomes[i], b.outcomes[i]);
+
+      DfsEngine engine(shared, options);
+      auto strategy =
+          fs::CreateStrategy(config.strategies[i], options.seed * 31 + i + 1);
+      const RunResult result = engine.Run(*strategy);
+      StrategyOutcome standalone;
+      standalone.id = config.strategies[i];
+      standalone.success = result.success;
+      standalone.distance_validation = result.best_distance_validation;
+      standalone.distance_test = result.best_distance_test;
+      standalone.test_f1 = result.test_f1;
+      standalone.timed_out = result.timed_out;
+      standalone.search_exhausted = result.search_exhausted;
+      standalone.evaluations = result.evaluations;
+      ExpectSameCell(a.outcomes[i], standalone);
+    }
+  }
 }
 
 TEST(ExperimentConfigTest, HashSensitiveToEveryKnob) {
