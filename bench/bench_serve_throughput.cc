@@ -1,7 +1,7 @@
 // Job-service throughput (google-benchmark): jobs/sec through a DfsServer
 // at worker counts 1/2/4/8, plus submit-path latency under backpressure
 // and the router's cost on the submit path (router-off explicit jobs vs
-// router-on "auto" jobs, with and without the online learning loop).
+// router-on "auto" jobs).
 // Each job runs the cheapest strategy ("Original Feature Set", one wrapper
 // evaluation) on a tiny registered dataset, so the measurement is dominated
 // by queue/dispatch/bookkeeping overhead rather than model training.
@@ -115,13 +115,11 @@ BENCHMARK(BM_ServeBackpressureReject);
 
 // Routed ("auto") job mix through the strategy router, against the
 // explicit-strategy baseline above. Arg(0): router off — the job names its
-// strategy and never touches the router. Arg(1): router on, static policy,
-// no optimizer — the submit path pays fingerprint + policy + trace only.
-// Arg(2): router on with the online loop (refit_every=64) — adds one
-// landmark featurization (then cached), feedback appends, and background
-// refits. All arms run 2 workers so bench_diff.py isolates router cost.
+// strategy and never touches the router. Arg(1): router on, no optimizer —
+// the submit path pays fingerprint + default + trace only. Both arms run
+// 2 workers so bench_diff.py isolates router cost.
 void BM_ServeRoutedThroughput(benchmark::State& state) {
-  const int mode = static_cast<int>(state.range(0));
+  const bool routed = state.range(0) != 0;
   ServerOptions options;
   options.num_workers = 2;
   options.queue_capacity = 256;
@@ -129,13 +127,6 @@ void BM_ServeRoutedThroughput(benchmark::State& state) {
   // through the untrained router), so the delta is routing overhead, not
   // a strategy change.
   options.default_auto_strategy = "Original Feature Set";
-  if (mode == 2) {
-    options.router.refit_every = 64;
-    // Tiny landmark settings: the cost being measured is the routing
-    // plumbing, not the one-off CV (which the feature cache absorbs).
-    options.router.optimizer_options.landmark_sample_size = 40;
-    options.router.optimizer_options.landmark_folds = 2;
-  }
   DfsServer server(options);
   server.RegisterDataset(kDataset, TinyDataset());
 
@@ -147,7 +138,7 @@ void BM_ServeRoutedThroughput(benchmark::State& state) {
     ids.reserve(kBatch);
     for (int i = 0; i < kBatch; ++i) {
       JobRequest request = CheapJob(seed++);
-      if (mode != 0) request.strategy = "auto";
+      if (routed) request.strategy = "auto";
       auto id = server.Submit(request);
       DFS_CHECK(id.ok());
       ids.push_back(*id);
@@ -158,14 +149,11 @@ void BM_ServeRoutedThroughput(benchmark::State& state) {
     jobs += kBatch;
   }
   state.SetItemsProcessed(jobs);
-  state.SetLabel(mode == 0   ? "router off"
-                 : mode == 1 ? "router on (static)"
-                             : "router on (online loop)");
+  state.SetLabel(routed ? "router on" : "router off");
 }
 BENCHMARK(BM_ServeRoutedThroughput)
     ->Arg(0)
     ->Arg(1)
-    ->Arg(2)
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();
 

@@ -165,7 +165,7 @@ if [[ "${1:-}" == "--bench-smoke" ]]; then
     --benchmark_min_time=0.2 \
     --json "$out"
   # Router cost on the serve submit path: router-off explicit jobs vs
-  # router-on "auto" jobs (static, and with the online learning loop).
+  # router-on "auto" jobs.
   # Folded into the same snapshot so bench_diff.py sees all rows.
   DFS_THREADS="${DFS_THREADS:-4}" ./build-bench/bench/bench_serve_throughput \
     --benchmark_filter='ServeRoutedThroughput' \

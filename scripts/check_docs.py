@@ -16,11 +16,13 @@
 4. Every tool binary declared in tools/CMakeLists.txt (`dfs_*`) is
    mentioned in at least one top-level or docs/ Markdown file — a tool
    nobody can find from the docs is a tool nobody runs.
-5. Every `cache.*` instrument the code registers (counter/gauge/histogram
-   under src/) appears in docs/PROTOCOL.md's instrument registry — the
-   cache surface is documented by name, not by archaeology — and every
-   `cache.*` row of that registry is registered somewhere under src/ (no
-   rows for deleted instruments).
+5. For each documented surface in SURFACES (`cache`, `router`): every
+   `<prefix>.*` instrument the code registers (counter/gauge/histogram
+   under src/) has a row in docs/PROTOCOL.md's instrument registry — the
+   surface is documented by name, not by archaeology — and every
+   `<prefix>.*` row of that registry is registered somewhere under src/
+   (no rows for deleted instruments). A dynamic family registered as
+   `"<prefix>.family." + label` matches a `<prefix>.family.<label>` row.
 6. The on-disk format version documented in docs/CACHE.md matches
    `kEvalCacheFormatVersion` in src/core/eval_cache.h, so the byte-level
    spec can never drift silently from the decoder.
@@ -30,11 +32,12 @@
    exists under src/. Exact line-level sync is `check.sh --analyze`'s
    job (it re-derives the graph); this keeps the artifact findable and
    its citations non-dangling even on docs-only runs.
-8. Every field row of docs/PROTOCOL.md's `cache` verb table names a key
-   that `HandleCache` in src/serve/frontend.cc writes
-   (`object["<key>"]`), and every key it writes has a row, so a removed
-   field cannot linger in the docs. `ok`, the envelope field of every
-   response, is exempt.
+8. For each surface in SURFACES, every field row of docs/PROTOCOL.md's
+   verb table names a key that the verb's handler in
+   src/serve/frontend.cc writes (`object["<key>"]`), and every key it
+   writes has a row, so a removed field cannot linger in the docs. A key
+   written as `object["family." + label]` matches a `family.<label>` row.
+   `ok`, the envelope field of every response, is exempt.
 """
 
 import glob
@@ -43,6 +46,13 @@ import re
 import sys
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+# The wire surfaces checks 5 and 8 hold to docs/PROTOCOL.md: (instrument
+# prefix, handler in src/serve/frontend.cc, verb section heading).
+SURFACES = [
+    ("cache", "HandleCache", "cache"),
+    ("router", "HandleRouter", "router"),
+]
 
 # [text](target) — stop at the first ')' so "(see [a](b))" parses; skip
 # images the same way (the leading '!' does not change resolution rules).
@@ -177,9 +187,15 @@ def check_tool_binaries():
     ]
 
 
-def check_cache_instruments():
+def family_name(name):
+    """`family.<label>` (a documented dynamic family) -> `family.`."""
+    return name.split("<", 1)[0]
+
+
+def check_instruments(prefix):
     instrument_re = re.compile(
-        r"\b(?:counter|gauge|histogram)\(\s*\"(cache\.[a-z0-9_.]+)\"")
+        r"\b(?:counter|gauge|histogram)\(\s*\"(" + re.escape(prefix) +
+        r"\.[a-z0-9_.]+)\"")
     registered = {}
     pattern = os.path.join(REPO, "src", "**", "*.cc")
     for path in sorted(glob.glob(pattern, recursive=True)):
@@ -189,21 +205,22 @@ def check_cache_instruments():
     with open(os.path.join(REPO, "docs", "PROTOCOL.md"),
               encoding="utf-8") as f:
         text = f.read()
-    documented = set(re.findall(r"\b(cache\.[a-z0-9_.]+)\b", text))
-    errors = [
-        f"{path} registers instrument '{name}' but docs/PROTOCOL.md does "
-        f"not list it" for name, path in sorted(registered.items())
-        if name not in documented
-    ]
     # The registry spans several tables, up to the next heading.
     rows = table_rows(text, r"#+\s*Instrument registry", r"#")
     if rows is None:
-        return errors + ["docs/PROTOCOL.md has no 'Instrument registry' "
-                         "table"]
+        return ["docs/PROTOCOL.md has no 'Instrument registry' table"]
+    documented = {family_name(name) for name in rows
+                  if name.startswith(prefix + ".")}
+    errors = [
+        f"{path} registers instrument '{name}' but docs/PROTOCOL.md's "
+        f"instrument registry has no row for it"
+        for name, path in sorted(registered.items())
+        if name not in documented
+    ]
     errors += [
         f"docs/PROTOCOL.md lists instrument '{name}' but nothing under "
         f"src/ registers it"
-        for name in rows if name.startswith("cache.") and name not in registered
+        for name in sorted(documented) if name not in registered
     ]
     return errors
 
@@ -253,23 +270,26 @@ def check_lock_order_artifact():
     return errors
 
 
-def check_cache_verb_fields():
+def check_verb_fields(handler, verb):
     with open(os.path.join(REPO, "src", "serve", "frontend.cc"),
               encoding="utf-8") as f:
-        body = re.search(r"\nstd::string HandleCache\(.*?\n}\n", f.read(),
-                         re.DOTALL)
+        body = re.search(r"\nstd::string " + handler + r"\(.*?\n}\n",
+                         f.read(), re.DOTALL)
     if body is None:
-        return ["src/serve/frontend.cc no longer defines HandleCache "
-                "(update check_docs.py)"]
-    written = set(re.findall(r'object\["([^"]+)"\]', body.group(0)))
+        return [f"src/serve/frontend.cc no longer defines {handler} "
+                f"(update check_docs.py)"]
+    # object["key"] = ..., or object["family." + label] = ... for a family.
+    written = set(re.findall(r'object\["([^"]+)"(?:\]|\s*\+)',
+                             body.group(0)))
     written.discard("ok")
     with open(os.path.join(REPO, "docs", "PROTOCOL.md"),
               encoding="utf-8") as f:
         lines = f.read().splitlines()
     start = next((i for i, line in enumerate(lines)
-                  if re.match(r"#+\s*cache\s*$", line)), None)
+                  if re.match(r"#+\s*" + re.escape(verb) + r"\s*$", line)),
+                 None)
     if start is None:
-        return ["docs/PROTOCOL.md has no '### cache' verb section"]
+        return [f"docs/PROTOCOL.md has no '### {verb}' verb section"]
     # A row's first cell may name several fields ("`hits` / `misses`");
     # the table ends at its first non-row line.
     documented = set()
@@ -281,15 +301,16 @@ def check_cache_verb_fields():
             continue
         seen_row = True
         first_cell = line.split("|")[1]
-        documented |= set(re.findall(r"`([^`]+)`", first_cell))
+        documented |= {family_name(name)
+                       for name in re.findall(r"`([^`]+)`", first_cell)}
     errors = [
-        f"docs/PROTOCOL.md documents cache verb field '{name}' but "
-        f"HandleCache in src/serve/frontend.cc does not write it"
+        f"docs/PROTOCOL.md documents {verb} verb field '{name}' but "
+        f"{handler} in src/serve/frontend.cc does not write it"
         for name in sorted(documented - written)
     ]
     errors += [
-        f"HandleCache in src/serve/frontend.cc writes '{name}' but "
-        f"docs/PROTOCOL.md's cache verb table has no row for it"
+        f"{handler} in src/serve/frontend.cc writes '{name}' but "
+        f"docs/PROTOCOL.md's {verb} verb table has no row for it"
         for name in sorted(written - documented)
     ]
     return errors
@@ -297,9 +318,10 @@ def check_cache_verb_fields():
 
 def main():
     errors = (check_links() + check_bench_binaries() + check_env_knobs() +
-              check_tool_binaries() + check_cache_instruments() +
-              check_cache_format_version() + check_lock_order_artifact() +
-              check_cache_verb_fields())
+              check_tool_binaries() + check_cache_format_version() +
+              check_lock_order_artifact())
+    for prefix, handler, verb in SURFACES:
+        errors += check_instruments(prefix) + check_verb_fields(handler, verb)
     for error in errors:
         print(f"check_docs: {error}", file=sys.stderr)
     if errors:

@@ -1,14 +1,13 @@
 #include "core/eval_cache.h"
 
 #include <cstring>
-#include <fstream>
-#include <sstream>
 #include <string_view>
 #include <utility>
 #include <vector>
 
 #include "core/suite_version.h"
 #include "obs/metrics.h"
+#include "util/file_util.h"
 
 namespace dfs::core {
 namespace {
@@ -402,22 +401,17 @@ Status EvalCacheRegistry::SaveToFile(const std::string& path) const {
     AppendU64(&container, blob.size());
     container += blob;
   }
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out) return InternalError("cannot write file: " + path);
-  out.write(container.data(),
-            static_cast<std::streamsize>(container.size()));
-  if (!out) return InternalError("short write: " + path);
+  // Write aside, then rename: a daemon killed mid-spill keeps the previous
+  // spill instead of leaving a truncated one that the next boot rejects.
+  DFS_RETURN_IF_ERROR(WriteFileAtomically(path, container));
   spills_.fetch_add(1, std::memory_order_relaxed);
   CacheMetrics::Get().spills.Increment();
   return OkStatus();
 }
 
 StatusOr<size_t> EvalCacheRegistry::LoadFromFile(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return NotFoundError("cannot open file: " + path);
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return RestoreFromString(buffer.str(), path);
+  DFS_ASSIGN_OR_RETURN(const std::string container, ReadFileToString(path));
+  return RestoreFromString(container, path);
 }
 
 StatusOr<size_t> EvalCacheRegistry::RestoreFromString(

@@ -11,6 +11,7 @@
 #include "core/suite_version.h"
 #include "data/benchmark_suite.h"
 #include "util/csv.h"
+#include "util/file_util.h"
 #include "util/string_util.h"
 #include "util/thread_pool.h"
 
@@ -266,17 +267,7 @@ Status ExperimentPool::SaveCsv(const std::string& path) const {
       });
     }
   }
-  // Write aside, then rename: a run killed mid-write leaves only the
-  // temporary, never a truncated pool at `path`.
-  const std::string tmp_path = path + ".tmp";
-  DFS_RETURN_IF_ERROR(WriteCsvFile(table, tmp_path));
-  std::error_code ec;
-  std::filesystem::rename(tmp_path, path, ec);
-  if (ec) {
-    return InternalError("cannot rename " + tmp_path + " to " + path + ": " +
-                         ec.message());
-  }
-  return OkStatus();
+  return WriteFileAtomically(path, WriteCsv(table));
 }
 
 StatusOr<ExperimentPool> ExperimentPool::LoadCsv(

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
-#include <fstream>
 #include <iomanip>
 #include <set>
 #include <sstream>
@@ -15,6 +14,7 @@
 #include "metrics/robustness.h"
 #include "ml/cross_validation.h"
 #include "ml/dp/dp_classifier.h"
+#include "util/file_util.h"
 #include "util/math_util.h"
 
 namespace dfs::core {
@@ -178,18 +178,27 @@ DfsOptimizer::PredictProbabilities(const ScenarioFeatures& features) const {
   return probabilities;
 }
 
-StatusOr<fs::StrategyId> DfsOptimizer::Choose(
-    const ScenarioFeatures& features) const {
-  DFS_ASSIGN_OR_RETURN(auto probabilities, PredictProbabilities(features));
-  fs::StrategyId best = strategies_.front();
+fs::StrategyId ArgmaxStrategy(
+    const std::vector<fs::StrategyId>& strategies,
+    const std::map<fs::StrategyId, double>& probabilities) {
+  DFS_CHECK(!strategies.empty()) << "argmax over no strategies";
+  fs::StrategyId best = strategies.front();
   double best_probability = -1.0;
-  for (fs::StrategyId id : strategies_) {
-    if (probabilities[id] > best_probability) {
-      best_probability = probabilities[id];
+  for (fs::StrategyId id : strategies) {
+    const auto it = probabilities.find(id);
+    const double probability = it != probabilities.end() ? it->second : 0.0;
+    if (probability > best_probability) {
+      best_probability = probability;
       best = id;
     }
   }
   return best;
+}
+
+StatusOr<fs::StrategyId> DfsOptimizer::Choose(
+    const ScenarioFeatures& features) const {
+  DFS_ASSIGN_OR_RETURN(auto probabilities, PredictProbabilities(features));
+  return ArgmaxStrategy(strategies_, probabilities);
 }
 
 StatusOr<std::string> DfsOptimizer::Serialize() const {
@@ -275,18 +284,12 @@ StatusOr<DfsOptimizer> DfsOptimizer::Deserialize(const std::string& text) {
 
 Status DfsOptimizer::SaveToFile(const std::string& path) const {
   DFS_ASSIGN_OR_RETURN(const std::string text, Serialize());
-  std::ofstream out(path, std::ios::binary);
-  if (!out) return InternalError("cannot write file: " + path);
-  out << text;
-  return OkStatus();
+  return WriteFileAtomically(path, text);
 }
 
 StatusOr<DfsOptimizer> DfsOptimizer::LoadFromFile(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return NotFoundError("cannot open file: " + path);
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return Deserialize(buffer.str());
+  DFS_ASSIGN_OR_RETURN(const std::string text, ReadFileToString(path));
+  return Deserialize(text);
 }
 
 namespace {

@@ -66,10 +66,15 @@ class DfsOptimizer {
   StatusOr<std::map<fs::StrategyId, double>> PredictProbabilities(
       const ScenarioFeatures& features) const;
 
-  /// argmax of PredictProbabilities.
+  /// argmax of PredictProbabilities (ArgmaxStrategy).
   StatusOr<fs::StrategyId> Choose(const ScenarioFeatures& features) const;
 
   const std::vector<fs::StrategyId>& strategies() const { return strategies_; }
+
+  /// The settings this optimizer was built (or deserialized) with. A query
+  /// must be featurized with these: FeaturizeScenario reads the landmark
+  /// sample size, folds and seed.
+  const OptimizerOptions& options() const { return options_; }
 
   /// Serializes the trained optimizer (strategy set, per-strategy forests /
   /// constants, priors, blend) so a meta-model trained offline on a large
@@ -88,11 +93,20 @@ class DfsOptimizer {
   std::map<fs::StrategyId, double> success_prior_;  // global training rates
 };
 
-/// One observed (scenario, strategy, outcome) triple — the single
-/// featurize→outcome pathway shared by the offline training-pool builder
-/// (BuildTrainingExamples) and the online router's replay buffer
-/// (dfs::router). Records with equal fingerprints describe the same
-/// scenario and are merged into one TrainingExample.
+/// Algorithm 1's deployment argmax: the strategy with the highest
+/// probability, scanning `strategies` in order with a strictly-greater
+/// comparison, so ties keep the earlier strategy. A strategy missing from
+/// `probabilities` scores 0. `strategies` must not be empty. Shared by
+/// DfsOptimizer::Choose and the serving router, so both pick bit-for-bit
+/// the same strategy.
+fs::StrategyId ArgmaxStrategy(
+    const std::vector<fs::StrategyId>& strategies,
+    const std::map<fs::StrategyId, double>& probabilities);
+
+/// One observed (scenario, strategy, outcome) triple, the featurize→outcome
+/// pathway of the offline training-pool builder (BuildTrainingExamples).
+/// Records with equal fingerprints describe the same scenario and are
+/// merged into one TrainingExample.
 struct OutcomeRecord {
   uint64_t fingerprint = 0;
   ScenarioFeatures features;
@@ -110,16 +124,15 @@ uint64_t ScenarioFingerprint(const std::string& dataset_name, int num_rows,
 
 /// Groups outcome records by fingerprint into the merged per-scenario
 /// examples DfsOptimizer::Train consumes. First-seen order is preserved;
-/// for duplicate (fingerprint, strategy) pairs the most recent record wins
-/// (online feedback overwrites stale outcomes).
+/// for duplicate (fingerprint, strategy) pairs the most recent record wins.
 std::vector<DfsOptimizer::TrainingExample> ExamplesFromOutcomeRecords(
     const std::vector<OutcomeRecord>& records);
 
 /// Builds TrainingExamples from pool records by regenerating each dataset
 /// and featurizing (deterministic in the pool's config seed). Flattens
-/// each record through OutcomeRecord + ExamplesFromOutcomeRecords — the
-/// same pathway the online router feeds — salting the fingerprint with the
-/// record ordinal so each pool record stays its own example.
+/// each record through OutcomeRecord + ExamplesFromOutcomeRecords,
+/// salting the fingerprint with the record ordinal so each pool record
+/// stays its own example.
 StatusOr<std::vector<DfsOptimizer::TrainingExample>> BuildTrainingExamples(
     const ExperimentPool& pool, const OptimizerOptions& options);
 

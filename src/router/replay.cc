@@ -2,13 +2,12 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
 #include <map>
 #include <sstream>
 
 #include "data/synthetic.h"
 #include "obs/trace.h"
-#include "util/logging.h"
+#include "util/file_util.h"
 
 namespace dfs::router {
 namespace {
@@ -53,32 +52,12 @@ StatusOr<uint64_t> ParseU64(const std::string& text) {
 
 }  // namespace
 
-StatusOr<fs::StrategyId> StrategyFromIndex(int index) {
-  if (index < 0 || index > static_cast<int>(fs::StrategyId::kTpeMrmr)) {
-    return InvalidArgumentError("strategy index out of range: " +
-                                std::to_string(index));
-  }
-  return static_cast<fs::StrategyId>(index);
-}
-
 std::string DecisionDetail(const RouteDecision& decision) {
   std::ostringstream out;
   out << "seq=" << decision.sequence << " gen=" << decision.generation
-      << " fp=" << decision.fingerprint << " seed=" << decision.decision_seed
-      << " policy=" << decision.policy
+      << " fp=" << decision.fingerprint
       << " feat=" << (decision.featurized ? 1 : 0)
-      << " explored=" << (decision.explored ? 1 : 0)
-      << " portfolio=" << (decision.portfolio ? 1 : 0)
-      << " chosen=" << static_cast<int>(decision.chosen) << " members=";
-  if (decision.members.empty()) {
-    out << "-";
-  } else {
-    for (size_t i = 0; i < decision.members.size(); ++i) {
-      if (i > 0) out << ",";
-      out << static_cast<int>(decision.members[i]);
-    }
-  }
-  out << " probs=";
+      << " chosen=" << static_cast<int>(decision.chosen) << " probs=";
   if (decision.probabilities.empty()) {
     out << "-";
   } else {
@@ -102,7 +81,7 @@ StatusOr<TracedDecision> ParseDecisionDetail(const std::string& detail) {
     }
     fields[token.substr(0, eq)] = token.substr(eq + 1);
   }
-  for (const char* required : {"seq", "gen", "fp", "seed", "feat"}) {
+  for (const char* required : {"seq", "gen", "fp", "feat"}) {
     if (fields.find(required) == fields.end()) {
       return InvalidArgumentError(std::string("decision detail is missing ") +
                                   required + ": " + detail);
@@ -112,7 +91,6 @@ StatusOr<TracedDecision> ParseDecisionDetail(const std::string& detail) {
   DFS_ASSIGN_OR_RETURN(traced.sequence, ParseU64(fields["seq"]));
   DFS_ASSIGN_OR_RETURN(traced.generation, ParseU64(fields["gen"]));
   DFS_ASSIGN_OR_RETURN(traced.fingerprint, ParseU64(fields["fp"]));
-  DFS_ASSIGN_OR_RETURN(traced.decision_seed, ParseU64(fields["seed"]));
   traced.featurized = fields["feat"] == "1";
   return traced;
 }
@@ -135,9 +113,8 @@ StatusOr<ReplayReport> VerifyTrace(const StrategyRouter& router,
       continue;
     }
     ++report.checked;
-    auto decision = router.ReplayDecision(traced.fingerprint,
-                                          traced.decision_seed,
-                                          traced.featurized);
+    auto decision =
+        router.ReplayDecision(traced.fingerprint, traced.featurized);
     std::string derived;
     if (decision.ok()) {
       // The sequence is history, not state: replay takes it from the trace.
@@ -158,104 +135,6 @@ StatusOr<ReplayReport> VerifyTrace(const StrategyRouter& router,
   return report;
 }
 
-namespace {
-
-Status SelfCheckOnePolicy(const std::string& policy,
-                          const std::string& trace_path,
-                          const data::Dataset& dataset,
-                          const std::string& dataset_name) {
-  // Two scenario shapes so the feature cache holds multiple fingerprints.
-  constraints::ConstraintSet relaxed;
-  relaxed.min_f1 = 0.0;
-  relaxed.max_search_seconds = 10.0;
-  constraints::ConstraintSet strict;
-  strict.min_f1 = 0.2;
-  strict.max_search_seconds = 10.0;
-  strict.max_feature_fraction = 0.8;
-
-  RouterOptions options;
-  options.policy = policy;
-  options.policy_options.epsilon = 0.5;
-  // Force the low-confidence portfolio path once probabilities exist.
-  options.policy_options.confidence_threshold = 0.99;
-  options.refit_every = 6;
-  options.replay_capacity = 64;
-  options.seed = 21;
-  options.exploration = {fs::StrategyId::kSfs, fs::StrategyId::kTpeChi2,
-                         fs::StrategyId::kSbs};
-  // Tiny landmark settings: the self-check exercises plumbing, not model
-  // quality.
-  options.optimizer_options.landmark_sample_size = 40;
-  options.optimizer_options.landmark_folds = 2;
-
-  DFS_RETURN_IF_ERROR(obs::TraceWriter::Open(trace_path));
-  std::string snapshot;
-  {
-    StrategyRouter live(options);
-
-    // Feed outcomes across three strategies (successes favor SFS) so the
-    // refit trains a multi-candidate optimizer mid-stream.
-    const fs::StrategyId cycle[] = {fs::StrategyId::kSfs,
-                                    fs::StrategyId::kTpeChi2,
-                                    fs::StrategyId::kSbs};
-    for (int i = 0; i < 12; ++i) {
-      const RouteDecision decision =
-          live.Route(dataset, dataset_name, ml::ModelKind::kLogisticRegression,
-                     i % 2 == 0 ? relaxed : strict);
-      live.ReportOutcome(decision, cycle[i % 3], i % 3 == 0);
-    }
-    // Drain the refit pipeline before the snapshot so the tail decisions
-    // below share its generation. Triggers coalesce, so wait for one
-    // successful refit and then for quiescence rather than counting fires.
-    if (live.Stats().outcomes >=
-        static_cast<uint64_t>(options.refit_every)) {
-      if (!live.WaitForRefits(1, 60.0) || !live.DrainRefits(60.0)) {
-        obs::TraceWriter::Close();
-        return InternalError("router refit did not complete in time");
-      }
-    }
-
-    // Tail decisions at the final generation — these are the replayed ones.
-    for (int i = 0; i < 8; ++i) {
-      (void)live.Route(dataset, dataset_name,
-                       ml::ModelKind::kLogisticRegression,
-                       i % 2 == 0 ? relaxed : strict);
-    }
-    DFS_ASSIGN_OR_RETURN(snapshot, live.Serialize());
-  }
-  obs::TraceWriter::Close();
-
-  std::ifstream trace_in(trace_path, std::ios::binary);
-  if (!trace_in) return InternalError("cannot reopen trace: " + trace_path);
-  std::ostringstream trace;
-  trace << trace_in.rdbuf();
-
-  StrategyRouter restored;
-  DFS_RETURN_IF_ERROR(restored.RestoreState(snapshot));
-  DFS_ASSIGN_OR_RETURN(const ReplayReport report,
-                       VerifyTrace(restored, trace.str()));
-  if (report.checked < 8) {
-    return InternalError("policy " + policy + ": expected >= 8 replayable "
-                         "decisions, checked " +
-                         std::to_string(report.checked));
-  }
-  if (report.mismatched != 0) {
-    std::string message = "policy " + policy + ": " +
-                          std::to_string(report.mismatched) + "/" +
-                          std::to_string(report.checked) +
-                          " decisions did not replay byte-identically";
-    for (const std::string& diff : report.mismatches) {
-      message += "\n" + diff;
-    }
-    return InternalError(message);
-  }
-  DFS_LOG(INFO) << "replay self-check: policy " << policy << " checked "
-                << report.checked << ", skipped " << report.skipped;
-  return OkStatus();
-}
-
-}  // namespace
-
 Status ReplaySelfCheck(const std::string& scratch_prefix) {
   data::SyntheticSpec spec;
   spec.name = "replay-selfcheck";
@@ -268,14 +147,78 @@ Status ReplaySelfCheck(const std::string& scratch_prefix) {
   spec.categorical_attributes = 1;
   DFS_ASSIGN_OR_RETURN(const data::Dataset dataset,
                        data::GenerateDataset(spec, 11));
+  const ml::ModelKind model = ml::ModelKind::kLogisticRegression;
 
-  for (const char* policy : {"static", "confidence", "epsilon-greedy"}) {
-    const std::string trace_path =
-        scratch_prefix + "." + policy + ".trace.jsonl";
-    DFS_RETURN_IF_ERROR(
-        SelfCheckOnePolicy(policy, trace_path, dataset, spec.name));
-    std::remove(trace_path.c_str());
+  // Four scenario shapes, so the optimizer trains on distinct feature
+  // vectors and the feature cache holds several fingerprints.
+  std::vector<constraints::ConstraintSet> shapes(4);
+  for (size_t i = 0; i < shapes.size(); ++i) {
+    shapes[i].min_f1 = 0.2 * static_cast<double>(i);
+    shapes[i].max_search_seconds = 10.0;
   }
+  shapes[3].max_feature_fraction = 0.8;
+
+  // Tiny landmark settings: the self-check exercises plumbing, not model
+  // quality. The router must featurize with these, not its defaults.
+  core::OptimizerOptions optimizer_options;
+  optimizer_options.landmark_sample_size = 40;
+  optimizer_options.landmark_folds = 2;
+  const fs::StrategyId strategies[] = {
+      fs::StrategyId::kSfs, fs::StrategyId::kTpeChi2, fs::StrategyId::kSbs};
+  std::vector<core::DfsOptimizer::TrainingExample> examples;
+  for (size_t i = 0; i < shapes.size(); ++i) {
+    core::DfsOptimizer::TrainingExample example;
+    DFS_ASSIGN_OR_RETURN(example.features,
+                         core::FeaturizeScenario(dataset, model, shapes[i],
+                                                 optimizer_options));
+    // Mixed labels per strategy, so every strategy trains a forest.
+    example.outcomes[strategies[0]] = i % 2 == 0;
+    example.outcomes[strategies[1]] = i < 2;
+    example.outcomes[strategies[2]] = i == 1 || i == 2;
+    examples.push_back(std::move(example));
+  }
+  core::DfsOptimizer optimizer(optimizer_options);
+  DFS_RETURN_IF_ERROR(optimizer.Train(
+      examples, {std::begin(strategies), std::end(strategies)}));
+
+  const std::string trace_path = scratch_prefix + ".trace.jsonl";
+  DFS_RETURN_IF_ERROR(obs::TraceWriter::Open(trace_path));
+  std::string snapshot;
+  {
+    StrategyRouter live;
+    // Generation 0 routes to the default; the replay skips these.
+    for (size_t i = 0; i < 4; ++i) {
+      (void)live.Route(dataset, spec.name, model, shapes[i % shapes.size()]);
+    }
+    live.InstallOptimizer(std::move(optimizer));
+    // Generation 1: the replayed decisions, with cache misses then hits.
+    for (size_t i = 0; i < 8; ++i) {
+      (void)live.Route(dataset, spec.name, model, shapes[i % shapes.size()]);
+    }
+    DFS_ASSIGN_OR_RETURN(snapshot, live.Serialize());
+  }
+  obs::TraceWriter::Close();
+  DFS_ASSIGN_OR_RETURN(const std::string trace, ReadFileToString(trace_path));
+
+  StrategyRouter restored;
+  DFS_RETURN_IF_ERROR(restored.RestoreState(snapshot));
+  DFS_ASSIGN_OR_RETURN(const ReplayReport report,
+                       VerifyTrace(restored, trace));
+  if (report.checked != 8 || report.skipped != 4) {
+    return InternalError("expected 8 replayable and 4 skipped decisions, "
+                         "got " + std::to_string(report.checked) + " and " +
+                         std::to_string(report.skipped));
+  }
+  if (report.mismatched != 0) {
+    std::string message = std::to_string(report.mismatched) + "/" +
+                          std::to_string(report.checked) +
+                          " decisions did not replay byte-identically";
+    for (const std::string& diff : report.mismatches) {
+      message += "\n" + diff;
+    }
+    return InternalError(message);
+  }
+  std::remove(trace_path.c_str());
   return OkStatus();
 }
 

@@ -14,11 +14,10 @@ namespace dfs::router {
 /// router as the detail of every "router.decision" span and re-derived by
 /// VerifyTrace from the snapshot:
 ///
-///   seq=3 gen=1 fp=1234 seed=99 policy=epsilon-greedy feat=1 explored=0
-///   portfolio=0 chosen=15 members=- probs=14:0.25,15:0.8125
+///   seq=3 gen=1 fp=1234 feat=1 chosen=15 probs=14:0.25,15:0.8125
 ///
 /// Strategy ids are their fs::StrategyId integer values; probabilities are
-/// %.17g (exact round-trip); empty member/probability lists are "-".
+/// %.17g (exact round-trip); an empty probability list is "-".
 std::string DecisionDetail(const RouteDecision& decision);
 
 /// The replay-relevant fields parsed back out of a DecisionDetail string.
@@ -26,16 +25,11 @@ struct TracedDecision {
   uint64_t sequence = 0;
   uint64_t generation = 0;
   uint64_t fingerprint = 0;
-  uint64_t decision_seed = 0;
   bool featurized = false;
 };
 
-/// Parses the seq/gen/fp/seed/feat fields of one "router.decision" detail.
+/// Parses the seq/gen/fp/feat fields of one "router.decision" detail.
 StatusOr<TracedDecision> ParseDecisionDetail(const std::string& detail);
-
-/// fs::StrategyId from its integer wire index (range-checked, so corrupt
-/// snapshots and traces fail loudly instead of forging an enum).
-StatusOr<fs::StrategyId> StrategyFromIndex(int index);
 
 struct ReplayReport {
   uint64_t checked = 0;     ///< same-generation decisions re-derived
@@ -55,11 +49,11 @@ StatusOr<ReplayReport> VerifyTrace(const StrategyRouter& router,
                                    const std::string& trace_jsonl);
 
 /// Hermetic end-to-end exercise of the replay contract (the
-/// router.replay_selfcheck ctest entry): for each policy, routes synthetic
-/// traffic with the online loop enabled, snapshots the router, restores it
-/// into a fresh one, and requires the trace to replay byte-identically.
-/// Temporary trace/snapshot files are created as `scratch_prefix` + suffix
-/// and removed on success.
+/// router.replay_selfcheck ctest entry): routes synthetic traffic before
+/// and after installing a trained optimizer, snapshots the router,
+/// restores it into a fresh one, and requires the trace to replay
+/// byte-identically. The temporary trace file is `scratch_prefix` +
+/// ".trace.jsonl" and is removed on success.
 Status ReplaySelfCheck(const std::string& scratch_prefix);
 
 }  // namespace dfs::router

@@ -5,7 +5,6 @@
 #include <map>
 #include <memory>
 #include <string>
-#include <thread>
 #include <utility>
 #include <vector>
 
@@ -13,100 +12,40 @@
 #include "data/dataset.h"
 #include "obs/metrics.h"
 #include "fs/registry.h"
-#include "router/policy.h"
 #include "util/mutex.h"
 #include "util/statusor.h"
 #include "util/thread_annotations.h"
 
 namespace dfs::router {
 
-/// Static configuration of a StrategyRouter. The policy fields and seed
-/// are part of the snapshot (they determine decisions); optimizer_options
-/// is deployment configuration and stays with the process.
-struct RouterOptions {
-  /// "static" | "confidence" | "epsilon-greedy" (see router/policy.h).
-  std::string policy = "static";
-  PolicyOptions policy_options;
-  /// Resolution of "auto" when no optimizer probabilities are available
-  /// (display name from the fs registry).
-  std::string default_strategy = "SFFS(NR)";
-  /// Exploration support for EpsilonGreedyPolicy; empty = the full
-  /// benchmark registry (fs::AllStrategies()).
-  std::vector<fs::StrategyId> exploration;
-  /// Background refit after this many recorded outcomes (0 disables the
-  /// online loop; the router then never featurizes untrained scenarios).
-  int refit_every = 0;
-  /// Bounded replay buffer of (features, strategy, success) records.
-  size_t replay_capacity = 1024;
-  /// Bounded featurization cache: landmark CV runs once per scenario shape.
-  size_t feature_cache_capacity = 256;
-  /// Root of every per-decision seed (mixed with the decision sequence).
-  uint64_t seed = 17;
-  /// Featurization + refit settings for the meta-optimizer.
-  core::OptimizerOptions optimizer_options;
-};
-
 /// One routing decision, as recorded in the trace (DESIGN.md §2g): the
-/// scenario fingerprint, the policy's inputs (per-strategy probabilities)
-/// and its outputs, plus the seed that replays it.
+/// scenario fingerprint, the optimizer's per-strategy probabilities and
+/// the argmax they produced.
 struct RouteDecision {
   uint64_t sequence = 0;     ///< decision ordinal (monotonic per router)
   uint64_t generation = 0;   ///< optimizer generation the decision used
   uint64_t fingerprint = 0;  ///< core::ScenarioFingerprint of the scenario
-  uint64_t decision_seed = 0;
-  std::string policy;
-  bool featurized = false;  ///< probabilities were available
-  /// Carried so ReportOutcome can append to the replay buffer without a
-  /// cache lookup; empty when !featurized. Not part of the trace record.
-  core::ScenarioFeatures features;
+  bool featurized = false;   ///< probabilities were available
   /// P(success) per optimizer strategy, in optimizer order.
   std::vector<std::pair<fs::StrategyId, double>> probabilities;
   fs::StrategyId chosen = fs::StrategyId::kSffs;
-  bool explored = false;
-  bool portfolio = false;
-  std::vector<fs::StrategyId> members;  ///< when portfolio, best first
 };
 
-/// Counters of one router, reconciling at quiescence:
-/// decisions == explored + portfolio + plain argmax routes, and
-/// decisions == sum over routes[] counts.
+/// Counters of one router since it was constructed. A restored snapshot
+/// resumes the trace's decision sequence, not these counts.
 struct RouterStats {
-  std::string policy;
+  /// Decisions recorded so far: the sum over routes[]. Each Route call
+  /// counts once it returns.
   uint64_t decisions = 0;
-  uint64_t explored = 0;
-  uint64_t portfolio = 0;
-  uint64_t outcomes = 0;  ///< feedback records appended to the buffer
-  uint64_t refits = 0;
   uint64_t generation = 0;
   bool optimizer_loaded = false;
-  size_t buffer_depth = 0;
-  size_t buffer_capacity = 0;
+  /// Of the installed optimizer's feature cache (a new optimizer starts a
+  /// new cache).
   size_t feature_cache_size = 0;
   uint64_t feature_cache_hits = 0;
   uint64_t feature_cache_misses = 0;
   /// Decisions per chosen strategy, by display name.
   std::map<std::string, uint64_t> routes;
-};
-
-/// Bounded FIFO of outcome records (the online feedback loop's memory).
-class ReplayBuffer {
- public:
-  explicit ReplayBuffer(size_t capacity);
-
-  void Append(core::OutcomeRecord record);
-  std::vector<core::OutcomeRecord> Records() const;
-  size_t depth() const;
-  size_t capacity() const;
-  uint64_t total_appended() const;
-
-  /// Snapshot restore: replaces capacity and contents wholesale.
-  void Reset(size_t capacity, std::vector<core::OutcomeRecord> records);
-
- private:
-  mutable util::Mutex mu_;
-  size_t capacity_ DFS_GUARDED_BY(mu_);
-  std::deque<core::OutcomeRecord> records_ DFS_GUARDED_BY(mu_);
-  uint64_t total_ DFS_GUARDED_BY(mu_) = 0;
 };
 
 /// Bounded fingerprint → ScenarioFeatures cache (FIFO eviction). Both
@@ -128,79 +67,70 @@ class FeatureCache {
 
   /// Entries in insertion (eviction) order, for serialization.
   std::vector<std::pair<uint64_t, core::ScenarioFeatures>> Entries() const;
-  /// Snapshot restore: replaces capacity and contents wholesale.
-  void Reset(size_t capacity,
-             std::vector<std::pair<uint64_t, core::ScenarioFeatures>> entries);
 
  private:
+  const size_t capacity_;
   mutable util::Mutex mu_;
-  size_t capacity_ DFS_GUARDED_BY(mu_);
   std::map<uint64_t, core::ScenarioFeatures> entries_ DFS_GUARDED_BY(mu_);
   std::deque<uint64_t> order_ DFS_GUARDED_BY(mu_);
   mutable uint64_t hits_ DFS_GUARDED_BY(mu_) = 0;
   mutable uint64_t misses_ DFS_GUARDED_BY(mu_) = 0;
 };
 
-/// Online meta-learned strategy routing (the serving-side Algorithm 1):
-/// owns "auto" resolution for the DfsServer, learns from completed jobs,
-/// and emits a replayable trace record per decision.
+/// Strategy routing for served "auto" jobs: the deployment phase of the
+/// paper's Algorithm 1. With an installed DfsOptimizer a decision is its
+/// argmax (core::ArgmaxStrategy) over the probabilities it predicts for
+/// the scenario's cached features; without one it is the default strategy.
+/// Every decision is emitted as a replayable trace record.
 ///
-///   router::StrategyRouter router({.policy = "epsilon-greedy",
-///                                  .refit_every = 64});
+///   router::StrategyRouter router(fs::StrategyId::kSffs);
+///   router.InstallOptimizer(std::move(optimizer));
 ///   RouteDecision d = router.Route(dataset, "COMPAS", model, constraints);
-///   ... run d.chosen (or race d.members) ...
-///   router.ReportOutcome(d, d.chosen, /*success=*/true);
+///   ... run d.chosen ...
 ///
-/// Thread-safety: all public methods are thread-safe. Route never blocks
-/// on the refit (the optimizer swaps in atomically via shared_ptr under a
-/// short lock), and feedback never blocks on featurization.
+/// Thread-safety: all public methods are thread-safe. Featurization runs
+/// outside every router lock.
 class StrategyRouter {
  public:
-  explicit StrategyRouter(RouterOptions options = {});
-  ~StrategyRouter();
+  /// Feature-cache capacity: landmark CV runs once per scenario shape
+  /// among the last this many.
+  static constexpr size_t kFeatureCacheCapacity = 256;
+
+  /// `default_strategy` resolves "auto" while no optimizer is installed.
+  explicit StrategyRouter(
+      fs::StrategyId default_strategy = fs::StrategyId::kSffs);
 
   StrategyRouter(const StrategyRouter&) = delete;
   StrategyRouter& operator=(const StrategyRouter&) = delete;
 
-  /// Routes one "auto" job: fingerprints the scenario, featurizes through
-  /// the cache (only when an optimizer is loaded or the online loop is on),
-  /// asks the policy, and emits the trace record. Deterministic given the
-  /// router state and decision sequence.
+  /// Routes one "auto" job: fingerprints the scenario, featurizes it
+  /// through the cache with the installed optimizer's settings (only when
+  /// an optimizer is installed), takes the argmax and emits the trace
+  /// record.
   RouteDecision Route(const data::Dataset& dataset,
                       const std::string& dataset_name, ml::ModelKind model,
                       const constraints::ConstraintSet& constraint_set);
 
-  /// Feedback from a finished routed job: appends (features, strategy,
-  /// success) to the replay buffer and triggers a background refit every
-  /// `refit_every` outcomes. Decisions made without features (untrained
-  /// router with the online loop off) and portfolio decisions (success is
-  /// not attributable to one member) are skipped.
-  void ReportOutcome(const RouteDecision& decision, fs::StrategyId ran,
-                     bool success);
-
-  /// Installs a trained optimizer and bumps the generation (the
-  /// SetOptimizer path of the server; also used by warm restart).
+  /// Installs a trained optimizer with an empty feature cache and bumps
+  /// the generation (the SetOptimizer path of the server).
   void InstallOptimizer(core::DfsOptimizer optimizer);
 
   RouterStats Stats() const;
 
-  /// Blocks until at least `count` background refits have completed.
-  /// Returns false on timeout. Test/benchmark synchronization.
-  bool WaitForRefits(uint64_t count, double timeout_seconds) const;
-
-  /// Blocks until no refit is pending or in flight. Pending triggers
-  /// coalesce (two triggers can land as one refit), so callers that need
-  /// a quiescent optimizer generation drain instead of counting.
-  bool DrainRefits(double timeout_seconds) const;
+  /// The installed optimizer's cached features of a scenario, without
+  /// counting a hit or miss. False when the scenario is not cached.
+  bool PeekFeatures(uint64_t fingerprint,
+                    core::ScenarioFeatures* features) const;
 
   // Snapshot / restore ------------------------------------------------
-  /// Serializes policy configuration, seed, decision sequence, generation,
-  /// feature cache, replay buffer and the optimizer (via its own
-  /// Serialize) — everything a replay needs (DESIGN.md §2g).
+  /// Serializes the decision sequence, generation, feature cache and the
+  /// optimizer (via its own Serialize) — everything a replay needs
+  /// (DESIGN.md §2g). The default strategy is the constructor's, not
+  /// snapshot state.
   StatusOr<std::string> Serialize() const;
-  /// Inverse of Serialize: replaces the router's policy configuration and
-  /// state in place. optimizer_options is NOT in the snapshot and is kept.
+  /// Inverse of Serialize: replaces the router's state in place.
   Status RestoreState(const std::string& text);
+  /// Writes aside, then renames (WriteFileAtomically).
   Status SaveToFile(const std::string& path) const;
   Status LoadFromFile(const std::string& path);
 
@@ -209,74 +139,31 @@ class StrategyRouter {
   /// `featurized` must be the trace record's feat flag; the features come
   /// from the snapshot's cache (NotFound if the entry is missing).
   StatusOr<RouteDecision> ReplayDecision(uint64_t fingerprint,
-                                         uint64_t decision_seed,
                                          bool featurized) const;
 
-  RouterOptions options() const;
-
  private:
-  /// Deterministic per-decision seed: SplitMix64 of the root seed and the
-  /// decision sequence.
-  static uint64_t DecisionSeed(uint64_t root_seed, uint64_t sequence);
-
-  /// The pure decision core shared by Route and ReplayDecision: builds the
-  /// RouteContext from (optimizer, features) and runs the policy with a
-  /// fresh Rng(decision_seed).
-  RouteDecision DeriveDecision(
-      const RouterPolicy& policy,
-      const std::shared_ptr<const core::DfsOptimizer>& optimizer,
-      const RouterOptions& options, fs::StrategyId fallback,
-      const core::ScenarioFeatures* features, uint64_t decision_seed) const;
-
-  /// Cache lookup or FeaturizeScenario (outside all locks); false when
-  /// featurization fails.
-  bool LookupOrFeaturize(uint64_t fingerprint, const data::Dataset& dataset,
-                         ml::ModelKind model,
-                         const constraints::ConstraintSet& constraint_set,
-                         const core::OptimizerOptions& optimizer_options,
-                         core::ScenarioFeatures* features);
+  /// The pure decision core shared by Route and ReplayDecision: the
+  /// optimizer's argmax over its probabilities for `features`, or the
+  /// default strategy when either is missing.
+  void Decide(const core::DfsOptimizer* optimizer,
+              const core::ScenarioFeatures* features,
+              RouteDecision* decision) const;
 
   void RecordDecision(const RouteDecision& decision);
-  void EmitTrace(const RouteDecision& decision) const;
 
-  void RefitLoop();
-  /// One refit attempt; true when a new optimizer generation was swapped in.
-  bool DoRefit();
+  const fs::StrategyId default_strategy_;
 
-  // Decision state: options, policy, optimizer, counters. Route holds this
-  // only to snapshot pointers and bump the sequence.
   mutable util::Mutex mu_;
-  RouterOptions options_ DFS_GUARDED_BY(mu_);
-  std::shared_ptr<const RouterPolicy> policy_ DFS_GUARDED_BY(mu_);
-  fs::StrategyId fallback_ DFS_GUARDED_BY(mu_) = fs::StrategyId::kSffs;
   std::shared_ptr<const core::DfsOptimizer> optimizer_ DFS_GUARDED_BY(mu_);
+  /// Features computed with optimizer_'s settings; replaced together with
+  /// optimizer_, so a cached entry never serves another optimizer.
+  std::shared_ptr<FeatureCache> cache_ DFS_GUARDED_BY(mu_);
   uint64_t generation_ DFS_GUARDED_BY(mu_) = 0;
   uint64_t sequence_ DFS_GUARDED_BY(mu_) = 0;
-
-  FeatureCache cache_;
-  ReplayBuffer buffer_;
-
-  mutable util::Mutex stats_mu_;
-  uint64_t explored_total_ DFS_GUARDED_BY(stats_mu_) = 0;
-  uint64_t portfolio_total_ DFS_GUARDED_BY(stats_mu_) = 0;
-  std::map<fs::StrategyId, uint64_t> routes_ DFS_GUARDED_BY(stats_mu_);
+  std::map<fs::StrategyId, uint64_t> routes_ DFS_GUARDED_BY(mu_);
   /// Cached registry references for the "router.routes.<label>" family so
   /// the hot path registers each name only once.
-  std::map<fs::StrategyId, obs::Counter*> route_counters_
-      DFS_GUARDED_BY(stats_mu_);
-
-  // Refit signaling. outcomes_since_refit_ lives here (not with the
-  // buffer) because it belongs to the trigger, not the data.
-  mutable util::Mutex refit_mu_;
-  mutable util::CondVar refit_cv_;       ///< wakes the refit thread
-  mutable util::CondVar refit_done_cv_;  ///< wakes WaitForRefits
-  bool refit_pending_ DFS_GUARDED_BY(refit_mu_) = false;
-  bool refit_inflight_ DFS_GUARDED_BY(refit_mu_) = false;
-  bool stop_ DFS_GUARDED_BY(refit_mu_) = false;
-  int outcomes_since_refit_ DFS_GUARDED_BY(refit_mu_) = 0;
-  uint64_t refits_done_ DFS_GUARDED_BY(refit_mu_) = 0;
-
-  std::thread refit_thread_;  ///< last member: joined in the destructor
+  std::map<fs::StrategyId, obs::Counter*> route_counters_ DFS_GUARDED_BY(mu_);
 };
 
 }  // namespace dfs::router

@@ -54,9 +54,6 @@ std::string HandleSubmit(DfsServer& server, const JobRequest& request) {
   if (const auto route = server.GetRoute(*id); route.has_value()) {
     object["strategy"] =
         JsonValue::String(fs::StrategyIdToString(route->chosen));
-    object["route_policy"] = JsonValue::String(route->policy);
-    object["route_explored"] = JsonValue::Bool(route->explored);
-    object["route_portfolio"] = JsonValue::Bool(route->portfolio);
     if (!route->probabilities.empty()) {
       std::vector<std::string> probs;
       probs.reserve(route->probabilities.size());
@@ -66,14 +63,6 @@ std::string HandleSubmit(DfsServer& server, const JobRequest& request) {
         probs.push_back(fs::StrategyIdToString(strategy) + ":" + value);
       }
       object["route_probs"] = JsonValue::String(Join(probs, " "));
-    }
-    if (route->portfolio) {
-      std::vector<std::string> members;
-      members.reserve(route->members.size());
-      for (const fs::StrategyId member : route->members) {
-        members.push_back(fs::StrategyIdToString(member));
-      }
-      object["route_members"] = JsonValue::String(Join(members, ", "));
     }
   }
   return WriteJsonLine(object);
@@ -163,27 +152,18 @@ std::string HandleStats(DfsServer& server) {
   return WriteJsonLine(object);
 }
 
-/// The "router" verb: policy, learning-loop progress and per-strategy route
-/// counts of the server's strategy router (docs/PROTOCOL.md "router").
+/// The "router" verb: decision count, optimizer generation, feature-cache
+/// counters and per-strategy route counts of the server's strategy router
+/// (docs/PROTOCOL.md "router").
 std::string HandleRouter(DfsServer& server) {
   const router::RouterStats stats = server.router().Stats();
   JsonObject object;
   object["ok"] = JsonValue::Bool(true);
-  object["policy"] = JsonValue::String(stats.policy);
   object["decisions"] =
       JsonValue::Number(static_cast<double>(stats.decisions));
-  object["explored"] = JsonValue::Number(static_cast<double>(stats.explored));
-  object["portfolio"] =
-      JsonValue::Number(static_cast<double>(stats.portfolio));
-  object["outcomes"] = JsonValue::Number(static_cast<double>(stats.outcomes));
-  object["refits"] = JsonValue::Number(static_cast<double>(stats.refits));
   object["generation"] =
       JsonValue::Number(static_cast<double>(stats.generation));
   object["optimizer_loaded"] = JsonValue::Bool(stats.optimizer_loaded);
-  object["buffer_depth"] =
-      JsonValue::Number(static_cast<double>(stats.buffer_depth));
-  object["buffer_capacity"] =
-      JsonValue::Number(static_cast<double>(stats.buffer_capacity));
   object["feature_cache_size"] =
       JsonValue::Number(static_cast<double>(stats.feature_cache_size));
   object["feature_cache_hits"] =

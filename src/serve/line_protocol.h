@@ -24,7 +24,7 @@ namespace dfs::serve {
 ///   -> {"op":"cancel","id":7}        -> {"op":"stats"}
 ///   -> {"op":"ping"}                 -> {"op":"shutdown"}
 ///   -> {"op":"metrics"}   // dfs::obs registry snapshot, flattened
-///   -> {"op":"router"}    // routing policy, refits, per-strategy counts
+///   -> {"op":"router"}    // routing decisions, optimizer, per-strategy counts
 ///   -> {"op":"cache"}     // shared eval-cache counters + entry count
 ///
 /// Errors: {"ok":false,"error":"<machine tag>","message":"<detail>"}.

@@ -8,7 +8,6 @@
 #include "data/benchmark_suite.h"
 #include "data/synthetic.h"
 #include "fs/feature_subset.h"
-#include "fs/portfolio.h"
 #include "fs/registry.h"
 #include "obs/trace.h"
 #include "util/logging.h"
@@ -78,14 +77,24 @@ uint64_t JobContextFingerprint(const JobRequest& request,
   return fp;
 }
 
+/// The router's default strategy: `name`, or SFFS(NR) (logged) when the
+/// name is unknown.
+fs::StrategyId DefaultAutoStrategy(const std::string& name) {
+  auto id = fs::StrategyIdFromString(name);
+  if (!id.ok()) {
+    DFS_LOG(ERROR) << "unknown default_auto_strategy '" << name
+                   << "'; routing \"auto\" to SFFS(NR)";
+  }
+  return id.value_or(fs::StrategyId::kSffs);
+}
+
 }  // namespace
 
 DfsServer::DfsServer(ServerOptions options)
     : options_(std::move(options)),
-      queue_(options_.queue_capacity) {
+      queue_(options_.queue_capacity),
+      router_(DefaultAutoStrategy(options_.default_auto_strategy)) {
   options_.num_workers = std::max(1, options_.num_workers);
-  options_.router.default_strategy = options_.default_auto_strategy;
-  router_ = std::make_unique<router::StrategyRouter>(options_.router);
   workers_.reserve(options_.num_workers);
   for (int i = 0; i < options_.num_workers; ++i) {
     workers_.emplace_back([this] { WorkerLoop(); });
@@ -101,7 +110,7 @@ void DfsServer::RegisterDataset(const std::string& name,
 }
 
 void DfsServer::SetOptimizer(core::DfsOptimizer optimizer) {
-  router_->InstallOptimizer(std::move(optimizer));
+  router_.InstallOptimizer(std::move(optimizer));
 }
 
 StatusOr<JobId> DfsServer::Submit(const JobRequest& request) {
@@ -125,12 +134,11 @@ StatusOr<JobId> DfsServer::Submit(const JobRequest& request) {
     // Route before enqueueing so the worker runs exactly what was decided
     // and the submit response can explain the decision. Dataset-resolution
     // failures leave the job unrouted; the worker fails it with the same
-    // error. A subsequent queue-full rejection still counts the decision
-    // (no outcome ever arrives for it).
+    // error. A subsequent queue-full rejection still counts the decision.
     auto dataset = ResolveDataset(request.dataset);
     if (dataset.ok()) {
-      job->set_route(router_->Route(**dataset, request.dataset, request.model,
-                                    request.constraint_set));
+      job->set_route(router_.Route(**dataset, request.dataset, request.model,
+                                   request.constraint_set));
     }
   }
   {
@@ -324,7 +332,6 @@ void DfsServer::WorkerLoop() {
     metrics.running.Add(-1);
     if (job->TryTransition(outcome.state)) {
       RecordTerminal(*job, outcome.evaluations);
-      ReportRouteOutcome(*job);
     }
   }
 }
@@ -351,12 +358,7 @@ DfsServer::JobOutcome DfsServer::ExecuteJob(Job& job) {
     if (!strategy_id.ok()) return fail(strategy_id.status().ToString());
     strategy = fs::CreateStrategy(*strategy_id, request.seed);
   } else if (auto route = job.route(); route.has_value()) {
-    if (route->portfolio) {
-      strategy = std::make_unique<fs::TimeSlicedPortfolio>(route->members,
-                                                           request.seed);
-    } else {
-      strategy = fs::CreateStrategy(route->chosen, request.seed);
-    }
+    strategy = fs::CreateStrategy(route->chosen, request.seed);
   } else {
     auto fallback = fs::StrategyIdFromString(options_.default_auto_strategy);
     if (!fallback.ok()) return fail(fallback.status().ToString());
@@ -465,23 +467,6 @@ StatusOr<std::shared_ptr<const data::Dataset>> DfsServer::ResolveDataset(
       std::make_shared<const data::Dataset>(*std::move(generated));
   datasets_[name] = shared;
   return shared;
-}
-
-void DfsServer::ReportRouteOutcome(const Job& job) {
-  const std::optional<router::RouteDecision> route = job.route();
-  if (!route.has_value()) return;
-  bool success;
-  switch (job.state()) {
-    case JobState::kDone:
-      success = job.result().success;
-      break;
-    case JobState::kTimedOut:
-      success = false;  // the budget expired: the strategy did not satisfy
-      break;
-    default:
-      return;  // cancelled / failed say nothing about the strategy
-  }
-  router_->ReportOutcome(*route, route->chosen, success);
 }
 
 std::optional<router::RouteDecision> DfsServer::GetRoute(JobId id) const {

@@ -42,12 +42,9 @@ struct ServerOptions {
   /// Seed for dataset generation and scenario splitting.
   uint64_t seed = 7;
   /// Strategy used for "auto" requests when no meta-optimizer is loaded
-  /// (SFFS(NR) is the paper's best all-round single strategy). Overrides
-  /// router.default_strategy at construction.
+  /// (SFFS(NR) is the paper's best all-round single strategy); the
+  /// router's default strategy.
   std::string default_auto_strategy = "SFFS(NR)";
-  /// Strategy-routing configuration ("auto" resolution lives in
-  /// dfs::router; see router/router.h for policies and the online loop).
-  router::RouterOptions router;
 };
 
 /// Monotonic service counters plus instantaneous gauges. Once the system
@@ -117,13 +114,13 @@ class DfsServer {
   void RegisterDataset(const std::string& name, data::Dataset dataset);
 
   /// Installs a trained meta-optimizer into the router; "auto" jobs then
-  /// use Algorithm 1's deployment phase through the configured policy.
+  /// use Algorithm 1's deployment phase (the optimizer's argmax).
   void SetOptimizer(core::DfsOptimizer optimizer);
 
-  /// The strategy router owning "auto" resolution (policy, online feedback
-  /// loop, snapshot/restore; see router/router.h).
-  router::StrategyRouter& router() { return *router_; }
-  const router::StrategyRouter& router() const { return *router_; }
+  /// The strategy router owning "auto" resolution (decisions, stats,
+  /// snapshot/restore; see router/router.h).
+  router::StrategyRouter& router() { return router_; }
+  const router::StrategyRouter& router() const { return router_; }
 
   /// The routing decision stamped on an "auto" job at submission; nullopt
   /// for explicit-strategy jobs, unrouted jobs, and unknown ids.
@@ -188,10 +185,6 @@ class DfsServer {
   JobOutcome ExecuteJob(Job& job);
   Status CancelJob(const std::shared_ptr<Job>& job);
   void RecordTerminal(const Job& job, int evaluations);
-  /// Feeds a terminal routed job's outcome back to the router (DONE uses
-  /// the result's success flag, TIMED_OUT counts as failure; other terminal
-  /// states say nothing about the strategy and are skipped).
-  void ReportRouteOutcome(const Job& job);
   StatusOr<std::shared_ptr<const data::Dataset>> ResolveDataset(
       const std::string& name);
   /// Evicts expired / over-cap terminal jobs, oldest-terminal first.
@@ -216,9 +209,8 @@ class DfsServer {
   std::map<std::string, std::shared_ptr<const data::Dataset>> datasets_
       DFS_GUARDED_BY(datasets_mu_);
 
-  /// Owns "auto" resolution; constructed before the workers start and
-  /// destroyed after they join, so worker threads use it lock-free.
-  std::unique_ptr<router::StrategyRouter> router_;
+  /// Owns "auto" resolution (internally synchronized).
+  router::StrategyRouter router_;
 
   /// Shared L2 eval caches keyed by evaluation-context fingerprint
   /// (internally synchronized; workers attach per-job caches from it).

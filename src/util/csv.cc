@@ -3,6 +3,8 @@
 #include <fstream>
 #include <sstream>
 
+#include "util/file_util.h"
+
 namespace dfs {
 namespace {
 
@@ -102,11 +104,8 @@ StatusOr<CsvTable> ParseCsv(const std::string& text) {
 }
 
 StatusOr<CsvTable> ReadCsvFile(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return NotFoundError("cannot open file: " + path);
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return ParseCsv(buffer.str());
+  DFS_ASSIGN_OR_RETURN(const std::string text, ReadFileToString(path));
+  return ParseCsv(text);
 }
 
 std::string WriteCsv(const CsvTable& table) {

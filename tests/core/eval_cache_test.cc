@@ -9,6 +9,7 @@
 
 #include <atomic>
 #include <cstdio>
+#include <filesystem>
 #include <memory>
 #include <string>
 #include <thread>
@@ -21,6 +22,7 @@
 #include "fs/registry.h"
 #include "obs/metrics.h"
 #include "testing/test_util.h"
+#include "util/file_util.h"
 
 namespace dfs::core {
 namespace {
@@ -374,6 +376,29 @@ TEST(EvalCacheRegistryTest, StaleMemberRejectsWholeContainer) {
   const auto count = restored.LoadFromFile(path);
   EXPECT_EQ(count.status().code(), StatusCode::kFailedPrecondition);
   EXPECT_EQ(restored.size(), 0u);  // nothing half-merged
+  std::remove(path.c_str());
+}
+
+// A spill that cannot complete fails loudly and leaves the previous spill
+// byte-identical, so the next boot still restores it.
+TEST(EvalCacheRegistryTest, FailedSpillKeepsPreviousSpill) {
+  const std::string path = ::testing::TempDir() + "/eval_caches_keep.spill";
+  EvalCacheRegistry registry;
+  EXPECT_TRUE(
+      registry.GetOrCreate(7)->InsertPublished(MaskFor(0), OutcomeFor(0)));
+  ASSERT_TRUE(registry.SaveToFile(path).ok());
+  const std::string before = ReadFileToString(path).value();
+
+  EXPECT_TRUE(
+      registry.GetOrCreate(7)->InsertPublished(MaskFor(1), OutcomeFor(1)));
+  std::filesystem::create_directory(path + ".tmp");
+  EXPECT_FALSE(registry.SaveToFile(path).ok());
+  EXPECT_EQ(ReadFileToString(path).value(), before);
+  EXPECT_EQ(registry.Stats().spills, 1u);
+
+  EvalCacheRegistry restored;
+  EXPECT_EQ(restored.LoadFromFile(path).value_or(0), 1u);
+  std::filesystem::remove(path + ".tmp");
   std::remove(path.c_str());
 }
 

@@ -4,14 +4,16 @@
 
 #include <atomic>
 #include <chrono>
+#include <filesystem>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "core/optimizer.h"
-#include "router/policy.h"
 #include "router/replay.h"
 #include "testing/test_util.h"
+#include "util/file_util.h"
 #include "util/rng.h"
 
 namespace dfs::router {
@@ -28,17 +30,27 @@ core::OptimizerOptions FastOptimizerOptions() {
   return options;
 }
 
+int FeatureDims() {
+  return static_cast<int>(core::ScenarioFeatures::Names().size());
+}
+
+core::ScenarioFeatures RandomFeatures(int dims, uint64_t seed) {
+  Rng rng(seed);
+  core::ScenarioFeatures features;
+  for (int d = 0; d < dims; ++d) features.values.push_back(rng.Uniform());
+  return features;
+}
+
 /// Trains forests (non-degenerate labels per strategy) over random
-/// `dims`-dimensional features, so the argmax runs the real predict path.
+/// feature vectors, so the argmax runs the real predict path.
 core::DfsOptimizer TrainedOptimizer(
-    const std::vector<fs::StrategyId>& strategies, int dims, uint64_t seed) {
+    const std::vector<fs::StrategyId>& strategies, uint64_t seed,
+    const core::OptimizerOptions& options = FastOptimizerOptions()) {
   Rng rng(seed);
   std::vector<core::DfsOptimizer::TrainingExample> examples;
   for (int i = 0; i < 24; ++i) {
     core::DfsOptimizer::TrainingExample example;
-    for (int d = 0; d < dims; ++d) {
-      example.features.values.push_back(rng.Uniform());
-    }
+    example.features = RandomFeatures(FeatureDims(), seed * 1000 + i);
     for (size_t s = 0; s < strategies.size(); ++s) {
       // Mixed labels with different per-strategy rates, never constant.
       example.outcomes[strategies[s]] =
@@ -54,169 +66,81 @@ core::DfsOptimizer TrainedOptimizer(
     }
     examples.push_back(std::move(example));
   }
-  core::DfsOptimizer optimizer;
+  core::DfsOptimizer optimizer(options);
   EXPECT_TRUE(optimizer.Train(examples, strategies).ok());
   return optimizer;
 }
 
-core::ScenarioFeatures RandomFeatures(int dims, uint64_t seed) {
-  Rng rng(seed);
-  core::ScenarioFeatures features;
-  for (int d = 0; d < dims; ++d) features.values.push_back(rng.Uniform());
-  return features;
+const std::vector<fs::StrategyId>& ThreeStrategies() {
+  static const std::vector<fs::StrategyId> strategies = {
+      fs::StrategyId::kSfs, fs::StrategyId::kSbs, fs::StrategyId::kTpeChi2};
+  return strategies;
 }
 
-// ---- Policies -------------------------------------------------------
+/// A router snapshot whose feature cache holds `features` under
+/// fingerprints 1..N, so ReplayDecision runs the router's decision on
+/// arbitrary feature vectors.
+std::string SnapshotWithFeatures(
+    const core::DfsOptimizer& optimizer,
+    const std::vector<core::ScenarioFeatures>& features) {
+  std::ostringstream out;
+  out.precision(17);
+  out << "dfs-router v2\nsequence 0\ngeneration 1\ncache " << features.size()
+      << "\n";
+  for (size_t i = 0; i < features.size(); ++i) {
+    out << i + 1 << " " << features[i].values.size();
+    for (const double value : features[i].values) out << " " << value;
+    out << "\n";
+  }
+  const std::string blob = optimizer.Serialize().value();
+  out << "optimizer " << blob.size() << "\n" << blob << "\n";
+  return out.str();
+}
 
-// The ISSUE contract: StaticPolicy reproduces the pre-router serving
-// behavior bit-for-bit — DfsOptimizer::Choose when probabilities exist.
+// ---- The decision rule: the static argmax of Algorithm 1 -------------
+
+// A routed decision with an installed optimizer is DfsOptimizer::Choose on
+// the same features, bit for bit — same iteration order, same
+// strictly-greater tie-break.
 TEST(StaticPolicyTest, MatchesOptimizerChooseBitForBit) {
   const std::vector<fs::StrategyId> strategies = {
       fs::StrategyId::kSfs, fs::StrategyId::kSbs, fs::StrategyId::kTpeChi2,
       fs::StrategyId::kSffs};
-  core::DfsOptimizer optimizer = TrainedOptimizer(strategies, 16, 5);
-  StaticPolicy policy;
+  const core::DfsOptimizer optimizer = TrainedOptimizer(strategies, 5);
+  std::vector<core::ScenarioFeatures> features;
   for (uint64_t seed = 0; seed < 32; ++seed) {
-    const core::ScenarioFeatures features = RandomFeatures(16, 100 + seed);
-    auto probabilities = optimizer.PredictProbabilities(features);
-    ASSERT_TRUE(probabilities.ok());
-    auto expected = optimizer.Choose(features);
+    features.push_back(RandomFeatures(FeatureDims(), 100 + seed));
+  }
+  StrategyRouter router;
+  ASSERT_TRUE(
+      router.RestoreState(SnapshotWithFeatures(optimizer, features)).ok());
+  for (size_t i = 0; i < features.size(); ++i) {
+    auto expected = optimizer.Choose(features[i]);
     ASSERT_TRUE(expected.ok());
-
-    RouteContext context;
-    context.candidates = optimizer.strategies();
-    context.probabilities = *probabilities;
-    Rng rng(seed);
-    const PolicyChoice choice = policy.Decide(context, rng);
-    EXPECT_EQ(choice.chosen, *expected) << "seed " << seed;
-    EXPECT_FALSE(choice.explored);
-    EXPECT_FALSE(choice.portfolio);
+    auto decision = router.ReplayDecision(i + 1, /*featurized=*/true);
+    ASSERT_TRUE(decision.ok()) << decision.status().ToString();
+    EXPECT_EQ(decision->chosen, *expected) << "features " << i;
+    auto probabilities = optimizer.PredictProbabilities(features[i]);
+    ASSERT_TRUE(probabilities.ok());
+    ASSERT_EQ(decision->probabilities.size(), strategies.size());
+    for (const auto& [id, probability] : decision->probabilities) {
+      EXPECT_EQ(probability, probabilities->at(id));
+    }
   }
 }
 
-// And the other half of today's behavior: no optimizer → the configured
-// fallback (the server's default_auto_strategy), nothing random.
+// No optimizer → the default strategy the router was built with, and no
+// probabilities.
 TEST(StaticPolicyTest, FallsBackWithoutProbabilities) {
-  StaticPolicy policy;
-  RouteContext context;
-  context.fallback = fs::StrategyId::kSffs;
-  Rng rng(3);
-  const PolicyChoice choice = policy.Decide(context, rng);
-  EXPECT_EQ(choice.chosen, fs::StrategyId::kSffs);
-  EXPECT_FALSE(choice.explored);
-  EXPECT_FALSE(choice.portfolio);
+  StrategyRouter router(fs::StrategyId::kSfs);
+  auto decision = router.ReplayDecision(7, /*featurized=*/false);
+  ASSERT_TRUE(decision.ok());
+  EXPECT_EQ(decision->chosen, fs::StrategyId::kSfs);
+  EXPECT_FALSE(decision->featurized);
+  EXPECT_TRUE(decision->probabilities.empty());
 }
 
-TEST(ConfidencePolicyTest, ArgmaxWhenConfident) {
-  PolicyOptions options;
-  options.confidence_threshold = 0.55;
-  options.portfolio_top_k = 3;
-  ConfidencePolicy policy(options);
-  RouteContext context;
-  context.candidates = {fs::StrategyId::kSfs, fs::StrategyId::kSbs,
-                        fs::StrategyId::kTpeChi2};
-  context.probabilities = {{fs::StrategyId::kSfs, 0.9},
-                           {fs::StrategyId::kSbs, 0.4},
-                           {fs::StrategyId::kTpeChi2, 0.1}};
-  Rng rng(1);
-  const PolicyChoice choice = policy.Decide(context, rng);
-  EXPECT_EQ(choice.chosen, fs::StrategyId::kSfs);
-  EXPECT_FALSE(choice.portfolio);
-  EXPECT_TRUE(choice.members.empty());
-}
-
-TEST(ConfidencePolicyTest, LowConfidenceRacesTopK) {
-  PolicyOptions options;
-  options.confidence_threshold = 0.55;
-  options.portfolio_top_k = 2;
-  ConfidencePolicy policy(options);
-  RouteContext context;
-  context.candidates = {fs::StrategyId::kSfs, fs::StrategyId::kSbs,
-                        fs::StrategyId::kTpeChi2};
-  context.probabilities = {{fs::StrategyId::kSfs, 0.30},
-                           {fs::StrategyId::kSbs, 0.51},
-                           {fs::StrategyId::kTpeChi2, 0.45}};
-  Rng rng(1);
-  const PolicyChoice choice = policy.Decide(context, rng);
-  EXPECT_TRUE(choice.portfolio);
-  ASSERT_EQ(choice.members.size(), 2u);
-  EXPECT_EQ(choice.members[0], fs::StrategyId::kSbs);
-  EXPECT_EQ(choice.members[1], fs::StrategyId::kTpeChi2);
-  EXPECT_EQ(choice.chosen, fs::StrategyId::kSbs);
-}
-
-TEST(ConfidencePolicyTest, NeverRacesASingleCandidate) {
-  PolicyOptions options;
-  options.confidence_threshold = 0.99;
-  ConfidencePolicy policy(options);
-  RouteContext context;
-  context.candidates = {fs::StrategyId::kSfs};
-  context.probabilities = {{fs::StrategyId::kSfs, 0.1}};
-  Rng rng(1);
-  const PolicyChoice choice = policy.Decide(context, rng);
-  EXPECT_FALSE(choice.portfolio);
-  EXPECT_EQ(choice.chosen, fs::StrategyId::kSfs);
-}
-
-TEST(EpsilonGreedyPolicyTest, EpsilonZeroIsStatic) {
-  PolicyOptions options;
-  options.epsilon = 0.0;
-  EpsilonGreedyPolicy greedy(options);
-  StaticPolicy static_policy;
-  RouteContext context;
-  context.candidates = {fs::StrategyId::kSfs, fs::StrategyId::kSbs};
-  context.probabilities = {{fs::StrategyId::kSfs, 0.2},
-                           {fs::StrategyId::kSbs, 0.7}};
-  context.exploration = {fs::StrategyId::kSfs, fs::StrategyId::kSbs,
-                         fs::StrategyId::kTpeChi2};
-  for (uint64_t seed = 0; seed < 16; ++seed) {
-    Rng rng_a(seed);
-    Rng rng_b(seed);
-    EXPECT_EQ(greedy.Decide(context, rng_a).chosen,
-              static_policy.Decide(context, rng_b).chosen);
-  }
-}
-
-TEST(EpsilonGreedyPolicyTest, EpsilonOneAlwaysExploresDeterministically) {
-  PolicyOptions options;
-  options.epsilon = 1.0;
-  EpsilonGreedyPolicy policy(options);
-  RouteContext context;
-  context.exploration = {fs::StrategyId::kSfs, fs::StrategyId::kSbs,
-                         fs::StrategyId::kTpeChi2};
-  for (uint64_t seed = 0; seed < 16; ++seed) {
-    Rng rng_a(seed);
-    const PolicyChoice first = policy.Decide(context, rng_a);
-    EXPECT_TRUE(first.explored);
-    // Same seed → same pick: the replay contract at the policy level.
-    Rng rng_b(seed);
-    EXPECT_EQ(policy.Decide(context, rng_b).chosen, first.chosen);
-  }
-}
-
-TEST(PolicyRegistryTest, CreatePolicyByWireName) {
-  for (const char* name : {"static", "confidence", "epsilon-greedy"}) {
-    auto policy = CreatePolicy(name, {});
-    ASSERT_TRUE(policy.ok()) << name;
-    EXPECT_EQ((*policy)->name(), name);
-  }
-  EXPECT_FALSE(CreatePolicy("bandit", {}).ok());
-}
-
-// ---- ReplayBuffer / FeatureCache ------------------------------------
-
-TEST(ReplayBufferTest, BoundedFifo) {
-  ReplayBuffer buffer(3);
-  for (uint64_t i = 0; i < 5; ++i) {
-    buffer.Append({/*fingerprint=*/i, {}, fs::StrategyId::kSfs, true});
-  }
-  EXPECT_EQ(buffer.depth(), 3u);
-  EXPECT_EQ(buffer.total_appended(), 5u);
-  const auto records = buffer.Records();
-  ASSERT_EQ(records.size(), 3u);
-  EXPECT_EQ(records.front().fingerprint, 2u);
-  EXPECT_EQ(records.back().fingerprint, 4u);
-}
+// ---- FeatureCache ---------------------------------------------------
 
 TEST(FeatureCacheTest, FifoEvictionAndCounters) {
   FeatureCache cache(2);
@@ -241,8 +165,8 @@ TEST(FeatureCacheTest, FifoEvictionAndCounters) {
 // ---- StrategyRouter -------------------------------------------------
 
 TEST(StrategyRouterTest, UnroutedDefaultMatchesServingFallback) {
-  // No optimizer, online loop off: every decision is the configured
-  // default, unfeaturized (no landmark CV on the submit path).
+  // No optimizer: every decision is the default, unfeaturized (no
+  // landmark CV on the submit path).
   StrategyRouter router;
   const data::Dataset dataset = testing::MakeLinearDataset(80, 3, 99);
   constraints::ConstraintSet set;
@@ -258,17 +182,11 @@ TEST(StrategyRouterTest, UnroutedDefaultMatchesServingFallback) {
 }
 
 TEST(StrategyRouterTest, InstalledOptimizerDrivesArgmaxBitForBit) {
-  const std::vector<fs::StrategyId> strategies = {
-      fs::StrategyId::kSfs, fs::StrategyId::kSbs, fs::StrategyId::kTpeChi2};
-  core::DfsOptimizer optimizer = TrainedOptimizer(strategies, 16, 21);
-  auto serialized = optimizer.Serialize();
-  ASSERT_TRUE(serialized.ok());
-  auto reference = core::DfsOptimizer::Deserialize(*serialized);
+  core::DfsOptimizer optimizer = TrainedOptimizer(ThreeStrategies(), 21);
+  auto reference = core::DfsOptimizer::Deserialize(*optimizer.Serialize());
   ASSERT_TRUE(reference.ok());
 
-  RouterOptions options;
-  options.optimizer_options = FastOptimizerOptions();
-  StrategyRouter router(options);
+  StrategyRouter router;
   router.InstallOptimizer(std::move(optimizer));
 
   const data::Dataset dataset = testing::MakeLinearDataset(80, 3, 99);
@@ -277,8 +195,10 @@ TEST(StrategyRouterTest, InstalledOptimizerDrivesArgmaxBitForBit) {
   const RouteDecision decision = router.Route(
       dataset, kDataset, ml::ModelKind::kLogisticRegression, set);
   ASSERT_TRUE(decision.featurized);
-  ASSERT_EQ(decision.probabilities.size(), strategies.size());
-  auto expected = reference->Choose(decision.features);
+  ASSERT_EQ(decision.probabilities.size(), ThreeStrategies().size());
+  core::ScenarioFeatures features;
+  ASSERT_TRUE(router.PeekFeatures(decision.fingerprint, &features));
+  auto expected = reference->Choose(features);
   ASSERT_TRUE(expected.ok());
   EXPECT_EQ(decision.chosen, *expected);
 
@@ -291,85 +211,50 @@ TEST(StrategyRouterTest, InstalledOptimizerDrivesArgmaxBitForBit) {
   EXPECT_TRUE(stats.optimizer_loaded);
 }
 
-// The online loop demonstrably learns: before any feedback the router
-// falls back to SFFS; after feeding outcomes where SFS always succeeds
-// and the others always fail, a background refit retrains the optimizer
-// and the router starts choosing SFS.
-TEST(StrategyRouterTest, OnlineLoopLearnsFromOutcomes) {
-  RouterOptions options;
-  options.refit_every = 6;
-  options.replay_capacity = 64;
-  options.optimizer_options = FastOptimizerOptions();
-  StrategyRouter router(options);
-
-  const data::Dataset dataset = testing::MakeLinearDataset(80, 3, 99);
-  constraints::ConstraintSet relaxed;
-  relaxed.min_f1 = 0.0;
-  constraints::ConstraintSet strict;
-  strict.min_f1 = 0.3;
-
-  const fs::StrategyId cycle[] = {fs::StrategyId::kSfs, fs::StrategyId::kSbs,
-                                  fs::StrategyId::kTpeChi2};
-  for (int i = 0; i < 12; ++i) {
-    const RouteDecision decision =
-        router.Route(dataset, kDataset, ml::ModelKind::kLogisticRegression,
-                     i % 2 == 0 ? relaxed : strict);
-    ASSERT_TRUE(decision.featurized);  // the online loop featurizes
-    if (i < options.refit_every) {
-      // No refit can have triggered yet: every decision is the
-      // untrained serving default.
-      EXPECT_EQ(decision.chosen, fs::StrategyId::kSffs);
-    } else {
-      // The first refit (triggered by outcome refit_every) races the
-      // tail of this loop; once it lands the learned optimizer picks
-      // SFS. Either answer is legal here.
-      EXPECT_TRUE(decision.chosen == fs::StrategyId::kSffs ||
-                  decision.chosen == fs::StrategyId::kSfs)
-          << "chosen=" << static_cast<int>(decision.chosen);
-    }
-    router.ReportOutcome(decision, cycle[i % 3],
-                         cycle[i % 3] == fs::StrategyId::kSfs);
-  }
-  ASSERT_TRUE(router.WaitForRefits(1, 60.0));
-  ASSERT_TRUE(router.DrainRefits(60.0));
-
-  const RouteDecision learned = router.Route(
-      dataset, kDataset, ml::ModelKind::kLogisticRegression, relaxed);
-  ASSERT_TRUE(learned.featurized);
-  ASSERT_FALSE(learned.probabilities.empty());
-  EXPECT_EQ(learned.chosen, fs::StrategyId::kSfs);
-  EXPECT_GE(learned.generation, 1u);
-
-  const RouterStats stats = router.Stats();
-  EXPECT_GE(stats.refits, 1u);
-  EXPECT_GE(stats.generation, 1u);
-  EXPECT_TRUE(stats.optimizer_loaded);
-  EXPECT_EQ(stats.outcomes, 12u);
-  // The counters reconcile: every decision lands in exactly one route
-  // bucket.
-  uint64_t routed = 0;
-  for (const auto& [name, count] : stats.routes) routed += count;
-  EXPECT_EQ(routed, stats.decisions);
-}
-
-TEST(StrategyRouterTest, SnapshotRoundTripIsByteIdentical) {
-  RouterOptions options;
-  options.policy = "epsilon-greedy";
-  options.policy_options.epsilon = 0.4;
-  options.refit_every = 4;
-  options.optimizer_options = FastOptimizerOptions();
-  options.exploration = {fs::StrategyId::kSfs, fs::StrategyId::kSbs};
-  StrategyRouter router(options);
-
+// The router featurizes with the installed optimizer's landmark settings,
+// not its own defaults, and a newly installed optimizer with other
+// settings never reads features cached for the previous one.
+TEST(StrategyRouterTest, FeaturizesWithInstalledOptimizerOptions) {
   const data::Dataset dataset = testing::MakeLinearDataset(80, 3, 99);
   constraints::ConstraintSet set;
   set.min_f1 = 0.5;
-  for (int i = 0; i < 8; ++i) {
-    const RouteDecision decision = router.Route(
-        dataset, kDataset, ml::ModelKind::kLogisticRegression, set);
-    router.ReportOutcome(decision, decision.chosen, i % 2 == 0);
+  const ml::ModelKind model = ml::ModelKind::kLogisticRegression;
+
+  core::OptimizerOptions other = FastOptimizerOptions();
+  other.landmark_sample_size = 60;
+  other.landmark_folds = 3;
+  other.seed = 5;
+  StrategyRouter router;
+  for (const core::OptimizerOptions& options :
+       {FastOptimizerOptions(), other}) {
+    core::DfsOptimizer optimizer =
+        TrainedOptimizer(ThreeStrategies(), 3, options);
+    const core::OptimizerOptions installed = optimizer.options();
+    router.InstallOptimizer(std::move(optimizer));
+    const RouteDecision decision = router.Route(dataset, kDataset, model, set);
+    ASSERT_TRUE(decision.featurized);
+    core::ScenarioFeatures routed;
+    ASSERT_TRUE(router.PeekFeatures(decision.fingerprint, &routed));
+    auto expected =
+        core::FeaturizeScenario(dataset, model, set, installed);
+    ASSERT_TRUE(expected.ok());
+    EXPECT_EQ(routed.values, expected->values)
+        << "landmark_sample_size " << installed.landmark_sample_size;
   }
-  ASSERT_TRUE(router.DrainRefits(60.0));
+}
+
+TEST(StrategyRouterTest, SnapshotRoundTripIsByteIdentical) {
+  StrategyRouter router;
+  router.InstallOptimizer(TrainedOptimizer(ThreeStrategies(), 8));
+
+  const data::Dataset dataset = testing::MakeLinearDataset(80, 3, 99);
+  constraints::ConstraintSet sets[2];
+  sets[0].min_f1 = 0.5;
+  sets[1].min_f1 = 0.2;
+  for (int i = 0; i < 8; ++i) {
+    (void)router.Route(dataset, kDataset, ml::ModelKind::kLogisticRegression,
+                       sets[i % 2]);
+  }
 
   auto snapshot = router.Serialize();
   ASSERT_TRUE(snapshot.ok());
@@ -380,43 +265,66 @@ TEST(StrategyRouterTest, SnapshotRoundTripIsByteIdentical) {
   EXPECT_EQ(*snapshot, *again);
 
   const RouterStats stats = restored.Stats();
-  EXPECT_EQ(stats.policy, "epsilon-greedy");
-  EXPECT_EQ(stats.buffer_depth, router.Stats().buffer_depth);
-  EXPECT_EQ(stats.generation, router.Stats().generation);
+  EXPECT_EQ(stats.generation, 1u);
+  EXPECT_EQ(stats.feature_cache_size, 2u);
+  EXPECT_TRUE(stats.optimizer_loaded);
+}
+
+// A v1 snapshot (policy, seed and replay-buffer fields) is refused by name
+// rather than half-read.
+TEST(StrategyRouterTest, RestoreRejectsVersion1Snapshot) {
+  StrategyRouter router;
+  const Status status = router.RestoreState(
+      "dfs-router v1\npolicy static\nseed 17\nsequence 0\n");
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(status.message().find("'v1'"), std::string::npos)
+      << status.message();
+  EXPECT_EQ(router.RestoreState("not a snapshot").code(),
+            StatusCode::kInvalidArgument);
+}
+
+// A save that cannot complete leaves the previous snapshot byte-identical.
+TEST(StrategyRouterTest, FailedSaveKeepsPreviousSnapshot) {
+  const std::string path =
+      (std::filesystem::temp_directory_path() / "dfs_router_save_test.state")
+          .string();
+  StrategyRouter router;
+  ASSERT_TRUE(router.SaveToFile(path).ok());
+  const std::string before = ReadFileToString(path).value();
+
+  router.InstallOptimizer(TrainedOptimizer(ThreeStrategies(), 4));
+  std::filesystem::create_directory(path + ".tmp");
+  EXPECT_FALSE(router.SaveToFile(path).ok());
+  EXPECT_EQ(ReadFileToString(path).value(), before);
+
+  std::filesystem::remove(path + ".tmp");
+  ASSERT_TRUE(router.SaveToFile(path).ok());
+  EXPECT_NE(ReadFileToString(path).value(), before);
+  std::filesystem::remove(path);
 }
 
 TEST(StrategyRouterTest, ReplayDecisionMatchesLiveTrace) {
-  RouterOptions options;
-  options.policy = "epsilon-greedy";
-  options.policy_options.epsilon = 0.5;
-  options.refit_every = 4;
-  options.optimizer_options = FastOptimizerOptions();
-  StrategyRouter router(options);
+  StrategyRouter router;
+  router.InstallOptimizer(TrainedOptimizer(ThreeStrategies(), 13));
 
   const data::Dataset dataset = testing::MakeLinearDataset(80, 3, 99);
-  constraints::ConstraintSet set;
-  set.min_f1 = 0.5;
-  for (int i = 0; i < 8; ++i) {
-    const RouteDecision decision = router.Route(
-        dataset, kDataset, ml::ModelKind::kLogisticRegression, set);
-    router.ReportOutcome(decision, decision.chosen, true);
-  }
-  ASSERT_TRUE(router.DrainRefits(60.0));
-
-  // Decisions made at the final generation must replay byte-identically
-  // from a restored snapshot.
+  constraints::ConstraintSet sets[2];
+  sets[0].min_f1 = 0.5;
+  sets[1].min_f1 = 0.2;
   std::vector<RouteDecision> live;
   for (int i = 0; i < 6; ++i) {
     live.push_back(router.Route(dataset, kDataset,
-                                ml::ModelKind::kLogisticRegression, set));
+                                ml::ModelKind::kLogisticRegression,
+                                sets[i % 2]));
   }
+  // Decisions must replay byte-identically from a restored snapshot.
   auto snapshot = router.Serialize();
   ASSERT_TRUE(snapshot.ok());
   StrategyRouter restored;
   ASSERT_TRUE(restored.RestoreState(*snapshot).ok());
   for (const RouteDecision& decision : live) {
-    auto replayed = restored.ReplayDecision(
-        decision.fingerprint, decision.decision_seed, decision.featurized);
+    auto replayed =
+        restored.ReplayDecision(decision.fingerprint, decision.featurized);
     ASSERT_TRUE(replayed.ok());
     replayed->sequence = decision.sequence;  // history, not state
     EXPECT_EQ(DecisionDetail(*replayed), DecisionDetail(decision));
@@ -425,15 +333,15 @@ TEST(StrategyRouterTest, ReplayDecisionMatchesLiveTrace) {
 
 // ---- Concurrency churn (runs under TSan via check.sh --sanitize) ----
 
-TEST(StrategyRouterChurnTest, ConcurrentRouteFeedbackRefitSnapshot) {
-  RouterOptions options;
-  options.policy = "epsilon-greedy";
-  options.policy_options.epsilon = 0.5;
-  options.refit_every = 3;
-  options.replay_capacity = 32;
-  options.optimizer_options = FastOptimizerOptions();
-  StrategyRouter router(options);
-
+TEST(StrategyRouterChurnTest, ConcurrentRouteInstallSnapshot) {
+  const std::string blob =
+      TrainedOptimizer({fs::StrategyId::kSfs, fs::StrategyId::kSbs}, 77)
+          .Serialize()
+          .value();
+  // Installed up front so every route featurizes, overlapping the
+  // installs below (each of which starts a fresh feature cache).
+  StrategyRouter router;
+  router.InstallOptimizer(core::DfsOptimizer::Deserialize(blob).value());
   const data::Dataset dataset = testing::MakeLinearDataset(80, 3, 99);
   // Two scenario shapes: one cached fingerprint per constraint set, so
   // concurrent routes mix cache hits with (duplicate) featurizations.
@@ -444,12 +352,10 @@ TEST(StrategyRouterChurnTest, ConcurrentRouteFeedbackRefitSnapshot) {
   std::atomic<bool> stop{false};
   std::vector<std::thread> threads;
   for (int t = 0; t < 4; ++t) {
-    threads.emplace_back([&router, &dataset, &sets, t] {
+    threads.emplace_back([&router, &dataset, &sets] {
       for (int i = 0; i < 25; ++i) {
-        const RouteDecision decision =
-            router.Route(dataset, kDataset,
-                         ml::ModelKind::kLogisticRegression, sets[i % 2]);
-        router.ReportOutcome(decision, decision.chosen, (i + t) % 2 == 0);
+        (void)router.Route(dataset, kDataset,
+                           ml::ModelKind::kLogisticRegression, sets[i % 2]);
       }
     });
   }
@@ -464,11 +370,9 @@ TEST(StrategyRouterChurnTest, ConcurrentRouteFeedbackRefitSnapshot) {
     }
   });
   // Concurrent warm-restart installs.
-  threads.emplace_back([&router, &stop] {
-    const std::vector<fs::StrategyId> strategies = {fs::StrategyId::kSfs,
-                                                    fs::StrategyId::kSbs};
+  threads.emplace_back([&router, &stop, &blob] {
     while (!stop.load()) {
-      router.InstallOptimizer(TrainedOptimizer(strategies, 16, 77));
+      router.InstallOptimizer(core::DfsOptimizer::Deserialize(blob).value());
       std::this_thread::sleep_for(std::chrono::milliseconds(1));
     }
   });
@@ -476,7 +380,6 @@ TEST(StrategyRouterChurnTest, ConcurrentRouteFeedbackRefitSnapshot) {
   stop.store(true);
   for (size_t t = 4; t < threads.size(); ++t) threads[t].join();
 
-  ASSERT_TRUE(router.DrainRefits(60.0));
   const RouterStats stats = router.Stats();
   EXPECT_EQ(stats.decisions, 100u);
   uint64_t routed = 0;

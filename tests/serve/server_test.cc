@@ -8,6 +8,7 @@
 #include <thread>
 #include <vector>
 
+#include "obs/metrics.h"
 #include "serve/frontend.h"
 #include "serve/line_protocol.h"
 #include "serve/tcp.h"
@@ -265,11 +266,12 @@ TEST(DfsServerTest, RoutedSubmitResponseCarriesRouteFields) {
           .value_or(JsonObject{});
   ASSERT_TRUE(GetBool(response, "ok").value_or(false));
   // An "auto" submit explains its route in the accept line (PROTOCOL.md):
-  // the resolved strategy and the deciding policy.
+  // the resolved strategy, plus route_probs once an optimizer is loaded.
+  std::vector<std::string> keys;
+  for (const auto& [key, value] : response) keys.push_back(key);
+  EXPECT_EQ(keys,
+            (std::vector<std::string>{"id", "ok", "state", "strategy"}));
   EXPECT_EQ(GetString(response, "strategy").value_or(""), "SFFS(NR)");
-  EXPECT_EQ(GetString(response, "route_policy").value_or(""), "static");
-  EXPECT_FALSE(GetBool(response, "route_explored").value_or(true));
-  EXPECT_FALSE(GetBool(response, "route_portfolio").value_or(true));
   const int id = static_cast<int>(GetNumber(response, "id").value_or(0));
   ASSERT_TRUE(server->WaitForTerminal(id, 60.0).ok());
   auto route = server->GetRoute(id);
@@ -286,27 +288,41 @@ TEST(DfsServerTest, RoutedSubmitResponseCarriesRouteFields) {
                         .response)
           .value_or(JsonObject{});
   ASSERT_TRUE(GetBool(explicit_response, "ok").value_or(false));
-  EXPECT_FALSE(GetString(explicit_response, "route_policy").ok());
+  EXPECT_FALSE(GetString(explicit_response, "strategy").ok());
 }
 
 TEST(DfsServerTest, RouterVerbReportsRoutingState) {
-  auto server = MakeServer(/*workers=*/1, /*capacity=*/4);
-  JobRequest request = EasyJob();
-  request.strategy = "auto";
-  auto id = server->Submit(request);
-  ASSERT_TRUE(id.ok());
-  ASSERT_TRUE(server->WaitForTerminal(*id, 60.0).ok());
+  const obs::Counter& decisions_counter =
+      obs::MetricsRegistry::Global().counter("router.decisions");
+  const uint64_t counter_before = decisions_counter.value();
+  auto server = MakeServer(/*workers=*/1, /*capacity=*/8);
+  constexpr int kAutoJobs = 3;
+  for (int i = 0; i < kAutoJobs; ++i) {
+    JobRequest request = EasyJob(42 + i);
+    request.strategy = "auto";
+    auto id = server->Submit(request);
+    ASSERT_TRUE(id.ok());
+    ASSERT_TRUE(server->WaitForTerminal(*id, 60.0).ok());
+  }
 
   JsonObject response =
       ParseJsonLine(Dispatch(*server, R"({"op":"router"})").response)
           .value_or(JsonObject{});
   EXPECT_TRUE(GetBool(response, "ok").value_or(false));
-  EXPECT_EQ(GetString(response, "policy").value_or(""), "static");
-  EXPECT_EQ(GetNumber(response, "decisions").value_or(-1), 1.0);
+  EXPECT_EQ(GetNumber(response, "decisions").value_or(-1), kAutoJobs);
   EXPECT_EQ(GetNumber(response, "generation").value_or(-1), 0.0);
   EXPECT_FALSE(GetBool(response, "optimizer_loaded").value_or(true));
   // Per-strategy route counts, flattened with sanitized labels.
-  EXPECT_EQ(GetNumber(response, "routes.sffs_nr").value_or(-1), 1.0);
+  EXPECT_EQ(GetNumber(response, "routes.sffs_nr").value_or(-1), kAutoJobs);
+  // The counters reconcile: decisions == sum of routes.* == the
+  // router.decisions instrument's delta.
+  double routed = 0;
+  for (const auto& [key, value] : response) {
+    if (key.rfind("routes.", 0) == 0) routed += GetNumber(response, key).value();
+  }
+  EXPECT_EQ(routed, GetNumber(response, "decisions").value_or(-1));
+  EXPECT_EQ(decisions_counter.value() - counter_before,
+            static_cast<uint64_t>(kAutoJobs));
 }
 
 // The `cache` verb reports the shared eval-cache registry: an identical

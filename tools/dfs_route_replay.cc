@@ -12,19 +12,18 @@
 // trace matches the snapshot's optimizer generation).
 //
 // --self-check runs a hermetic end-to-end exercise of the contract (used
-// as the router.replay_selfcheck ctest entry): for each policy it routes
-// synthetic traffic with the online loop enabled, snapshots, restores, and
-// requires byte-identical replay.
+// as the router.replay_selfcheck ctest entry): it routes synthetic traffic
+// before and after installing a trained optimizer, snapshots, restores,
+// and requires byte-identical replay.
 
 #include <unistd.h>
 
 #include <cstdio>
-#include <fstream>
-#include <sstream>
 #include <string>
 
 #include "router/replay.h"
 #include "router/router.h"
+#include "util/file_util.h"
 #include "util/flags.h"
 
 namespace dfs {
@@ -43,15 +42,13 @@ int RunVerify(const ReplayOptions& options) {
     std::fprintf(stderr, "snapshot: %s\n", status.ToString().c_str());
     return 1;
   }
-  std::ifstream in(options.trace, std::ios::binary);
-  if (!in) {
-    std::fprintf(stderr, "trace: cannot open %s\n", options.trace.c_str());
+  auto trace = ReadFileToString(options.trace);
+  if (!trace.ok()) {
+    std::fprintf(stderr, "trace: %s\n", trace.status().ToString().c_str());
     return 1;
   }
-  std::ostringstream trace;
-  trace << in.rdbuf();
 
-  auto report = router::VerifyTrace(router, trace.str());
+  auto report = router::VerifyTrace(router, *trace);
   if (!report.ok()) {
     std::fprintf(stderr, "verify: %s\n", report.status().ToString().c_str());
     return 1;
@@ -109,7 +106,7 @@ int RealMain(int argc, char** argv) {
       std::fprintf(stderr, "self-check: %s\n", status.ToString().c_str());
       return 1;
     }
-    std::printf("dfs_route_replay --self-check: all policies replayed "
+    std::printf("dfs_route_replay --self-check: every decision replayed "
                 "byte-identically\n");
     return 0;
   }

@@ -19,7 +19,6 @@
 #include <cstdlib>
 
 #include "obs/trace.h"
-#include "router/policy.h"
 #include "serve/event_loop.h"
 #include "serve/server.h"
 #include "util/flags.h"
@@ -38,10 +37,8 @@ struct DaemonOptions {
   double row_scale = 1.0;
   std::string optimizer;  // path to a serialized DfsOptimizer
   std::string trace_out;  // JSONL trace-span output (empty = disabled)
-  std::string router_policy = "static";  // static | confidence | epsilon-greedy
   std::string router_state;  // router snapshot path (warm restart)
   std::string eval_cache_state;  // eval-cache spill path (warm restart)
-  int router_refit_every = 0;  // online refit cadence (0 = learning off)
   bool expose = false;    // bind all interfaces instead of loopback
   bool help = false;
 };
@@ -99,15 +96,11 @@ int RealMain(int argc, char** argv) {
                    "write JSONL trace spans (serve.job, engine.run, fs.*, "
                    "router.decision) to this file",
                    &options.trace_out);
-  parser.AddString("router-policy",
-                   "routing policy for \"auto\" jobs: static, confidence, "
-                   "or epsilon-greedy",
-                   &options.router_policy);
   parser.AddString("router-state",
                    "router snapshot path: loaded at boot if present, saved "
-                   "at shutdown (warm restart). A restored snapshot carries "
-                   "the full router configuration, so it takes precedence "
-                   "over --router-policy and --router-refit-every",
+                   "at shutdown (warm restart and dfs_route_replay). "
+                   "--optimizer, when also given, replaces the restored "
+                   "optimizer",
                    &options.router_state);
   parser.AddString("eval-cache-state",
                    "shared eval-cache spill path (docs/CACHE.md): restored "
@@ -116,10 +109,6 @@ int RealMain(int argc, char** argv) {
                    "loudly (the daemon refuses to start). Defaults to the "
                    "DFS_EVAL_CACHE_STATE env var",
                    &options.eval_cache_state);
-  parser.AddInt("router-refit-every",
-                "refit the meta-optimizer in the background after this many "
-                "routed-job outcomes (0 disables the online loop)",
-                &options.router_refit_every);
   parser.AddBool("expose", "bind all interfaces instead of loopback only",
                  &options.expose);
   parser.AddBool("help", "print usage", &options.help);
@@ -147,22 +136,12 @@ int RealMain(int argc, char** argv) {
     std::printf("tracing spans to %s\n", options.trace_out.c_str());
   }
 
-  // Reject unknown policy names before the server falls back silently.
-  if (auto policy = router::CreatePolicy(options.router_policy, {});
-      !policy.ok()) {
-    std::fprintf(stderr, "router-policy: %s\n",
-                 policy.status().ToString().c_str());
-    return 1;
-  }
-
   serve::ServerOptions server_options;
   server_options.num_workers = options.workers;
   server_options.queue_capacity =
       static_cast<size_t>(std::max(1, options.queue_capacity));
   server_options.result_ttl_seconds = options.ttl;
   server_options.dataset_row_scale = options.row_scale;
-  server_options.router.policy = options.router_policy;
-  server_options.router.refit_every = std::max(0, options.router_refit_every);
   serve::DfsServer server(server_options);
 
   if (!options.router_state.empty()) {

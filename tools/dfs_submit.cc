@@ -9,8 +9,8 @@
 //   dfs_submit --cache
 //   dfs_submit --ping --connections 4 --repeat 8 --pipeline
 //
-// --explain-route pretty-prints the router's decision (policy, probability
-// map, portfolio members) from an "auto" submit response.
+// --explain-route pretty-prints the router's decision (strategy and
+// probability map) from an "auto" submit response.
 //
 // Speaks the newline-delimited JSON line protocol (one request, one
 // response per line). Responses are printed verbatim; --wait polls a
@@ -101,7 +101,7 @@ void RegisterFlags(FlagParser& parser, ClientOptions& options) {
                  &options.wait);
   parser.AddBool("explain-route",
                  "after an \"auto\" submit, pretty-print the router's "
-                 "decision (policy, probabilities, portfolio members)",
+                 "decision (strategy, probabilities)",
                  &options.explain_route);
   parser.AddInt("connections",
                 "open this many keep-alive channels and send the request "
@@ -121,8 +121,8 @@ void RegisterFlags(FlagParser& parser, ClientOptions& options) {
                  "fetch the flattened dfs::obs metrics snapshot",
                  &options.metrics);
   parser.AddBool("router",
-                 "fetch the strategy router's policy, learning progress and "
-                 "per-strategy route counts",
+                 "fetch the strategy router's decision count, optimizer "
+                 "generation and per-strategy route counts",
                  &options.router);
   parser.AddBool("cache",
                  "fetch the shared eval-cache counters (caches, entries, "
@@ -153,27 +153,16 @@ std::string OpRequest(const char* op) {
   return serve::WriteJsonLine(object);
 }
 
-/// Pretty-prints the route_* fields of an "auto" submit response (see
-/// docs/PROTOCOL.md "submit"): the policy that decided, the per-strategy
-/// probability map, and the portfolio members when the policy raced.
+/// Pretty-prints the routing fields of an "auto" submit response (see
+/// docs/PROTOCOL.md "submit"): the resolved strategy and the optimizer's
+/// per-strategy probability map.
 void ExplainRoute(const serve::JsonObject& object) {
-  auto policy = serve::GetString(object, "route_policy");
-  if (!policy.ok()) {
+  auto strategy = serve::GetString(object, "strategy");
+  if (!strategy.ok()) {
     std::printf("route: (none — explicit strategy or unrouted job)\n");
     return;
   }
-  auto strategy = serve::GetString(object, "strategy");
-  std::printf("route: policy=%s strategy=%s\n", policy->c_str(),
-              strategy.ok() ? strategy->c_str() : "?");
-  const bool explored =
-      serve::GetBool(object, "route_explored").value_or(false);
-  const bool portfolio =
-      serve::GetBool(object, "route_portfolio").value_or(false);
-  if (explored) std::printf("route: explored (epsilon draw)\n");
-  auto members = serve::GetString(object, "route_members");
-  if (portfolio && members.ok()) {
-    std::printf("route: portfolio over [%s]\n", members->c_str());
-  }
+  std::printf("route: strategy=%s\n", strategy->c_str());
   auto probs = serve::GetString(object, "route_probs");
   if (probs.ok() && !probs->empty()) {
     std::printf("route: probabilities:\n");
@@ -186,7 +175,7 @@ void ExplainRoute(const serve::JsonObject& object) {
                   entry.substr(colon + 1).c_str());
     }
   } else {
-    std::printf("route: no probabilities (optimizer not trained yet)\n");
+    std::printf("route: no probabilities (no optimizer loaded)\n");
   }
 }
 
