@@ -16,8 +16,10 @@
 #                                  # binary named in EXPERIMENTS.md exists,
 #                                  # every DFS_* env knob read by the
 #                                  # code is documented in EXPERIMENTS.md,
-#                                  # and every tools/ binary is mentioned
-#                                  # in some Markdown file
+#                                  # every tools/ binary is mentioned
+#                                  # in some Markdown file, and README's
+#                                  # examples table matches
+#                                  # examples/CMakeLists.txt
 #   scripts/check.sh --bench-smoke # build bench_micro and snapshot the
 #                                  # serial-vs-parallel candidate-sweep
 #                                  # throughput to BENCH_results.json,

@@ -38,6 +38,9 @@
    writes has a row, so a removed field cannot linger in the docs. A key
    written as `object["family." + label]` matches a `family.<label>` row.
    `ok`, the envelope field of every response, is exempt.
+9. Every example declared in examples/CMakeLists.txt
+   (`dfs_add_example(<name>)`) has a row in README.md's examples table,
+   and every row of that table names a declared example.
 """
 
 import glob
@@ -316,10 +319,37 @@ def check_verb_fields(handler, verb):
     return errors
 
 
+def check_examples():
+    with open(os.path.join(REPO, "examples", "CMakeLists.txt"),
+              encoding="utf-8") as f:
+        declared = set(re.findall(
+            r"^dfs_add_example\(\s*([A-Za-z0-9_]+)\s*\)", f.read(),
+            re.MULTILINE))
+    with open(os.path.join(REPO, "README.md"), encoding="utf-8") as f:
+        # The table ends at its first non-row line.
+        rows = table_rows(f.read(), r"Runnable programs in `examples/`",
+                          r"(?!\|)")
+    if rows is None:
+        return ["README.md has no examples table (expected after a "
+                "'Runnable programs in `examples/`' line)"]
+    documented = set(rows)
+    errors = [
+        f"examples/CMakeLists.txt declares '{name}' but README.md's "
+        f"examples table has no row for it"
+        for name in sorted(declared - documented)
+    ]
+    errors += [
+        f"README.md's examples table lists '{name}' but "
+        f"examples/CMakeLists.txt does not declare it"
+        for name in sorted(documented - declared)
+    ]
+    return errors
+
+
 def main():
     errors = (check_links() + check_bench_binaries() + check_env_knobs() +
               check_tool_binaries() + check_cache_format_version() +
-              check_lock_order_artifact())
+              check_lock_order_artifact() + check_examples())
     for prefix, handler, verb in SURFACES:
         errors += check_instruments(prefix) + check_verb_fields(handler, verb)
     for error in errors:

@@ -1,6 +1,5 @@
 #include "core/dfs.h"
 
-#include "util/mutex.h"
 #include "util/thread_pool.h"
 
 namespace dfs::core {
@@ -69,18 +68,17 @@ StatusOr<DfsResult> DeclarativeFeatureSelection::Select(
   options.maximize_f1_utility = maximize_utility_;
   options.record_trace = record_trace_;
   options.seed = seed_;
-  DfsEngine engine(scenario, options);
+  DfsEngine engine(std::move(scenario), options);
   auto strategy = fs::CreateStrategy(strategy_id, seed_ ^ 0xABCDEFULL);
   return ToResult(engine.Run(*strategy), strategy_id);
 }
 
 StatusOr<DfsResult> DeclarativeFeatureSelection::SelectWithOptimizer(
     const DfsOptimizer& optimizer) {
-  OptimizerOptions options;
-  options.seed = seed_;
   DFS_ASSIGN_OR_RETURN(
       ScenarioFeatures features,
-      FeaturizeScenario(dataset_, model_, constraint_set_, options));
+      FeaturizeScenario(dataset_, model_, constraint_set_,
+                        optimizer.options()));
   DFS_ASSIGN_OR_RETURN(fs::StrategyId chosen, optimizer.Choose(features));
   return Select(chosen);
 }
@@ -90,9 +88,12 @@ StatusOr<DfsResult> DeclarativeFeatureSelection::SelectParallel(
   if (strategy_ids.empty()) {
     return InvalidArgumentError("no strategies given");
   }
-  DFS_ASSIGN_OR_RETURN(MlScenario scenario, BuildScenario());
+  DFS_ASSIGN_OR_RETURN(MlScenario built, BuildScenario());
+  // Engines only read the scenario, so every strategy shares one copy.
+  const auto scenario = std::make_shared<const MlScenario>(std::move(built));
 
-  util::Mutex mu;
+  // Each worker writes only its own slot, and ParallelFor joins before the
+  // slots are read.
   std::vector<std::pair<fs::StrategyId, RunResult>> runs(strategy_ids.size());
   ParallelFor(
       static_cast<int>(strategy_ids.size()), num_threads, [&](int i) {
@@ -104,9 +105,7 @@ StatusOr<DfsResult> DeclarativeFeatureSelection::SelectParallel(
         DfsEngine engine(scenario, options);
         auto strategy =
             fs::CreateStrategy(strategy_ids[i], seed_ * 31 + i + 1);
-        RunResult result = engine.Run(*strategy);
-        util::MutexLock lock(mu);
-        runs[i] = {strategy_ids[i], std::move(result)};
+        runs[i] = {strategy_ids[i], engine.Run(*strategy)};
       });
 
   // Fastest success wins; otherwise the closest-by-validation-distance run.
@@ -128,45 +127,6 @@ StatusOr<DfsResult> DeclarativeFeatureSelection::SelectParallel(
     if (better) best = static_cast<int>(i);
   }
   return ToResult(runs[best].second, runs[best].first);
-}
-
-StatusOr<DfsResult> DeclarativeFeatureSelection::SelectModelAndFeatures(
-    const std::vector<ml::ModelKind>& candidate_models,
-    fs::StrategyId strategy_id) {
-  if (candidate_models.empty()) {
-    return InvalidArgumentError("no candidate models given");
-  }
-  const ml::ModelKind original_model = model_;
-  const constraints::ConstraintSet original_constraints = constraint_set_;
-  // Even budget split across the candidates, as a simple portfolio over
-  // model classes.
-  constraint_set_.max_search_seconds =
-      original_constraints.max_search_seconds /
-      static_cast<double>(candidate_models.size());
-
-  std::optional<DfsResult> best;
-  for (ml::ModelKind candidate : candidate_models) {
-    model_ = candidate;
-    auto result = Select(strategy_id);
-    if (!result.ok()) {
-      model_ = original_model;
-      constraint_set_ = original_constraints;
-      return result.status();
-    }
-    if (result->success) {
-      best = std::move(*result);
-      break;
-    }
-    // Keep the closest-by-distance failure as the fallback answer.
-    if (!best.has_value() ||
-        constraint_set_.Distance(result->validation_values) <
-            constraint_set_.Distance(best->validation_values)) {
-      best = std::move(*result);
-    }
-  }
-  model_ = original_model;
-  constraint_set_ = original_constraints;
-  return std::move(*best);
 }
 
 }  // namespace dfs::core

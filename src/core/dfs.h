@@ -74,16 +74,6 @@ class DeclarativeFeatureSelection {
   StatusOr<DfsResult> SelectParallel(
       const std::vector<fs::StrategyId>& strategy_ids, int num_threads);
 
-  /// Declarative AutoML (the paper's Section-7 extension: "not only select
-  /// features but also models ... to satisfy user-specified constraints"):
-  /// splits the search budget evenly across the candidate models and runs
-  /// `strategy_id` under each; the first satisfying (model, subset) pair
-  /// wins, otherwise the closest one is returned. The scenario's SetModel
-  /// choice is ignored in favor of the candidates.
-  StatusOr<DfsResult> SelectModelAndFeatures(
-      const std::vector<ml::ModelKind>& candidate_models,
-      fs::StrategyId strategy_id);
-
  private:
   StatusOr<MlScenario> BuildScenario() const;
   DfsResult ToResult(RunResult run, fs::StrategyId id) const;

@@ -103,36 +103,19 @@ fs::StrategyId ArgmaxStrategy(
     const std::vector<fs::StrategyId>& strategies,
     const std::map<fs::StrategyId, double>& probabilities);
 
-/// One observed (scenario, strategy, outcome) triple, the featurize→outcome
-/// pathway of the offline training-pool builder (BuildTrainingExamples).
-/// Records with equal fingerprints describe the same scenario and are
-/// merged into one TrainingExample.
-struct OutcomeRecord {
-  uint64_t fingerprint = 0;
-  ScenarioFeatures features;
-  fs::StrategyId strategy = fs::StrategyId::kOriginalFeatureSet;
-  bool success = false;
-};
-
 /// Stable 64-bit fingerprint of a scenario shape (dataset identity, model,
 /// constraint thresholds). FNV-1a over the identifying fields, so equal
 /// shapes hash equal across processes — the key of the router's
-/// featurization cache and of OutcomeRecord grouping.
+/// featurization cache.
 uint64_t ScenarioFingerprint(const std::string& dataset_name, int num_rows,
                              int num_features, ml::ModelKind model,
                              const constraints::ConstraintSet& constraint_set);
 
-/// Groups outcome records by fingerprint into the merged per-scenario
-/// examples DfsOptimizer::Train consumes. First-seen order is preserved;
-/// for duplicate (fingerprint, strategy) pairs the most recent record wins.
-std::vector<DfsOptimizer::TrainingExample> ExamplesFromOutcomeRecords(
-    const std::vector<OutcomeRecord>& records);
-
-/// Builds TrainingExamples from pool records by regenerating each dataset
-/// and featurizing (deterministic in the pool's config seed). Flattens
-/// each record through OutcomeRecord + ExamplesFromOutcomeRecords,
-/// salting the fingerprint with the record ordinal so each pool record
-/// stays its own example.
+/// Builds one TrainingExample per pool record, in record order, by
+/// regenerating each dataset and featurizing (deterministic in the pool's
+/// config seed). An example's outcome map is the record's strategy ->
+/// success; a record without outcomes gives an empty map, which Train
+/// reads as failure for every strategy.
 StatusOr<std::vector<DfsOptimizer::TrainingExample>> BuildTrainingExamples(
     const ExperimentPool& pool, const OptimizerOptions& options);
 

@@ -49,7 +49,7 @@ struct EvalOutcome {
 /// strategies get per-strategy counts and timing without carrying any
 /// instrumentation themselves. Strategy-internal costs that bypass Evaluate (ranking
 /// computation, importance fits) are recorded at their call sites under
-/// "fs.*" — see top_k.cc / rfe.cc / portfolio.cc.
+/// "fs.*" — see top_k.cc / rfe.cc.
 class EvalContext {
  public:
   virtual ~EvalContext() = default;

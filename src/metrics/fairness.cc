@@ -24,60 +24,4 @@ double EqualOpportunity(const std::vector<int>& y_true,
   return 1.0 - std::fabs(tpr_minority - tpr_majority);
 }
 
-double StatisticalParity(const std::vector<int>& y_pred,
-                         const std::vector<int>& groups) {
-  DFS_CHECK_EQ(y_pred.size(), groups.size());
-  double count[2] = {0.0, 0.0};
-  double predicted_positive[2] = {0.0, 0.0};
-  for (size_t i = 0; i < y_pred.size(); ++i) {
-    count[groups[i]] += 1.0;
-    if (y_pred[i] == 1) predicted_positive[groups[i]] += 1.0;
-  }
-  if (count[0] == 0.0 || count[1] == 0.0) return 1.0;
-  return 1.0 - std::fabs(predicted_positive[1] / count[1] -
-                         predicted_positive[0] / count[0]);
-}
-
-double GeneralizedEntropyIndex(const std::vector<int>& y_true,
-                               const std::vector<int>& y_pred, double alpha) {
-  DFS_CHECK_EQ(y_true.size(), y_pred.size());
-  DFS_CHECK_GT(alpha, 0.0);
-  DFS_CHECK_NE(alpha, 1.0) << "alpha = 1 (Theil) not supported";
-  const size_t n = y_true.size();
-  if (n == 0) return 0.0;
-  // Benefits b_i in {0, 1, 2}: 1 = correct, 2 = undeserved positive,
-  // 0 = denied positive.
-  double mean = 0.0;
-  std::vector<double> benefits(n);
-  for (size_t i = 0; i < n; ++i) {
-    benefits[i] = static_cast<double>(y_pred[i] - y_true[i] + 1);
-    mean += benefits[i];
-  }
-  mean /= static_cast<double>(n);
-  if (mean <= 0.0) return 0.0;
-  double total = 0.0;
-  for (double b : benefits) {
-    total += std::pow(b / mean, alpha) - 1.0;
-  }
-  return total / (static_cast<double>(n) * alpha * (alpha - 1.0));
-}
-
-double DisparateImpact(const std::vector<int>& y_pred,
-                       const std::vector<int>& groups) {
-  DFS_CHECK_EQ(y_pred.size(), groups.size());
-  double count[2] = {0.0, 0.0};
-  double positive[2] = {0.0, 0.0};
-  for (size_t i = 0; i < y_pred.size(); ++i) {
-    count[groups[i]] += 1.0;
-    if (y_pred[i] == 1) positive[groups[i]] += 1.0;
-  }
-  if (count[0] == 0.0 || count[1] == 0.0) return 1.0;
-  const double rate_majority = positive[0] / count[0];
-  const double rate_minority = positive[1] / count[1];
-  if (rate_majority == 0.0 && rate_minority == 0.0) return 1.0;
-  if (rate_majority == 0.0 || rate_minority == 0.0) return 0.0;
-  const double ratio = rate_minority / rate_majority;
-  return std::min(ratio, 1.0 / ratio);
-}
-
 }  // namespace dfs::metrics

@@ -16,29 +16,6 @@ double EqualOpportunity(const std::vector<int>& y_true,
                         const std::vector<int>& y_pred,
                         const std::vector<int>& groups);
 
-/// Statistical parity difference | P(ŷ=1 | minority) - P(ŷ=1 | majority) |,
-/// reported as 1 - gap for consistency with EO (1 = perfectly fair).
-/// Provided as an alternative fairness metric (Section 3 notes the framework
-/// accepts any metric with the same inputs).
-double StatisticalParity(const std::vector<int>& y_pred,
-                         const std::vector<int>& groups);
-
-/// Generalized entropy index of the benefit distribution b_i = ŷ_i - y_i + 1
-/// (Speicher et al. 2018, cited as an alternative fairness metric in
-/// Section 3), with the standard α = 2 parameterization. 0 = perfectly even
-/// benefits; larger = more individual/group unfairness. Reported raw (not
-/// 1 - x) because it is unbounded above.
-double GeneralizedEntropyIndex(const std::vector<int>& y_true,
-                               const std::vector<int>& y_pred,
-                               double alpha = 2.0);
-
-/// Disparate impact ratio P(ŷ=1 | minority) / P(ŷ=1 | majority), clamped to
-/// [0, 1] by taking min(ratio, 1/ratio); the legal "80% rule" checks
-/// DisparateImpact >= 0.8. Returns 1 when either group is empty or neither
-/// group receives positive predictions.
-double DisparateImpact(const std::vector<int>& y_pred,
-                       const std::vector<int>& groups);
-
 }  // namespace dfs::metrics
 
 #endif  // DFS_METRICS_FAIRNESS_H_

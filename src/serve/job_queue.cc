@@ -4,18 +4,6 @@
 
 namespace dfs::serve {
 
-const char* SubmitOutcomeName(SubmitOutcome outcome) {
-  switch (outcome) {
-    case SubmitOutcome::kAccepted:
-      return "ACCEPTED";
-    case SubmitOutcome::kQueueFull:
-      return "QUEUE_FULL";
-    case SubmitOutcome::kClosed:
-      return "CLOSED";
-  }
-  return "UNKNOWN";
-}
-
 JobQueue::JobQueue(size_t capacity) : capacity_(std::max<size_t>(1, capacity)) {}
 
 SubmitOutcome JobQueue::TrySubmit(std::shared_ptr<Job> job) {

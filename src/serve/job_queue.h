@@ -21,8 +21,6 @@ enum class SubmitOutcome {
   kClosed,
 };
 
-const char* SubmitOutcomeName(SubmitOutcome outcome);
-
 /// Bounded multi-producer/multi-consumer queue of jobs with
 /// priority-then-FIFO ordering: a popped job is the oldest among those with
 /// the highest priority. Producers never block (TrySubmit reports

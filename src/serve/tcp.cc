@@ -156,10 +156,6 @@ Status LineChannel::WriteLine(const std::string& line) {
   return OkStatus();
 }
 
-void LineChannel::ShutdownSocket() {
-  if (fd_ >= 0) ::shutdown(fd_, SHUT_RDWR);
-}
-
 void LineChannel::Close() {
   if (fd_ >= 0) {
     ::close(fd_);

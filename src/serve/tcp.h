@@ -74,12 +74,6 @@ class LineChannel {
   /// (EPIPE/ECONNRESET), never as SIGPIPE.
   Status WriteLine(const std::string& line);
 
-  /// Half-close from another thread: ::shutdown(2) on the socket so a
-  /// blocked ReadLine returns EOF promptly. The fd stays valid until the
-  /// owning thread destroys the channel (closing it here would race the
-  /// reader).
-  void ShutdownSocket();
-
   void Close();
 
  private:

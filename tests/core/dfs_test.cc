@@ -15,6 +15,15 @@ constraints::ConstraintSet EasySet() {
       .value();
 }
 
+// Lighter featurization than OptimizerOptions' defaults (as in router_test),
+// so a query featurized with the defaults instead reads different values.
+OptimizerOptions FastOptimizerOptions() {
+  OptimizerOptions options;
+  options.landmark_sample_size = 40;
+  options.landmark_folds = 2;
+  return options;
+}
+
 TEST(DfsFacadeTest, SelectReturnsSatisfyingSubsetWithNames) {
   DeclarativeFeatureSelection dfs(testing::MakeLinearDataset(300, 3, 601));
   dfs.SetModel(ml::ModelKind::kLogisticRegression).SetConstraints(EasySet());
@@ -91,40 +100,6 @@ TEST(DfsFacadeTest, SelectParallelRejectsEmptyPortfolio) {
   EXPECT_FALSE(dfs.SelectParallel({}, 2).ok());
 }
 
-TEST(DfsFacadeTest, SelectModelAndFeaturesFindsAModel) {
-  DeclarativeFeatureSelection dfs(testing::MakeLinearDataset(250, 2, 608));
-  dfs.SetConstraints(EasySet());
-  auto result = dfs.SelectModelAndFeatures(
-      {ml::ModelKind::kNaiveBayes, ml::ModelKind::kDecisionTree,
-       ml::ModelKind::kLogisticRegression},
-      fs::StrategyId::kSfs);
-  ASSERT_TRUE(result.ok());
-  EXPECT_TRUE(result->success);
-  EXPECT_FALSE(result->model.empty());
-  EXPECT_GE(result->test_values.f1, 0.6);
-}
-
-TEST(DfsFacadeTest, SelectModelAndFeaturesFallsBackToClosest) {
-  DeclarativeFeatureSelection dfs(testing::MakeLinearDataset(150, 2, 609));
-  dfs.SetConstraints(constraints::ConstraintSetBuilder()
-                         .MinF1(0.999)  // unsatisfiable
-                         .MaxSearchSeconds(0.3)
-                         .Build()
-                         .value());
-  auto result = dfs.SelectModelAndFeatures(
-      {ml::ModelKind::kNaiveBayes, ml::ModelKind::kDecisionTree},
-      fs::StrategyId::kTpeChi2);
-  ASSERT_TRUE(result.ok());
-  EXPECT_FALSE(result->success);
-  EXPECT_FALSE(result->features.empty());
-}
-
-TEST(DfsFacadeTest, SelectModelAndFeaturesRejectsEmptyCandidates) {
-  DeclarativeFeatureSelection dfs(testing::MakeLinearDataset(100, 1, 610));
-  dfs.SetConstraints(EasySet());
-  EXPECT_FALSE(dfs.SelectModelAndFeatures({}, fs::StrategyId::kSfs).ok());
-}
-
 TEST(DfsFacadeTest, SelectWithOptimizerUsesChoice) {
   // Optimizer trained so SFFS always succeeds: the facade must route there.
   std::vector<DfsOptimizer::TrainingExample> examples;
@@ -147,6 +122,54 @@ TEST(DfsFacadeTest, SelectWithOptimizerUsesChoice) {
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result->strategy, "SFFS(NR)");
   EXPECT_TRUE(result->success);
+}
+
+TEST(DfsFacadeTest, SelectWithOptimizerFeaturizesWithTheOptimizersOptions) {
+  const data::Dataset dataset = testing::MakeLinearDataset(250, 2, 611);
+  const ml::ModelKind model = ml::ModelKind::kLogisticRegression;
+  const constraints::ConstraintSet set = EasySet();
+  const uint64_t facade_seed = 42;
+
+  const OptimizerOptions options = FastOptimizerOptions();
+  auto query = FeaturizeScenario(dataset, model, set, options);
+  OptimizerOptions defaults;
+  defaults.seed = facade_seed;
+  auto default_query = FeaturizeScenario(dataset, model, set, defaults);
+  ASSERT_TRUE(query.ok());
+  ASSERT_TRUE(default_query.ok());
+  ASSERT_NE(query->values, default_query->values);
+
+  // SFFS succeeds at the query's own featurization and SFS at the one the
+  // default settings give, so the featurization decides the pick.
+  std::vector<DfsOptimizer::TrainingExample> examples;
+  for (int i = 0; i < 6; ++i) {
+    DfsOptimizer::TrainingExample own, other;
+    own.features = *query;
+    own.outcomes = {{fs::StrategyId::kSffs, true},
+                    {fs::StrategyId::kSfs, false}};
+    other.features = *default_query;
+    other.outcomes = {{fs::StrategyId::kSffs, false},
+                      {fs::StrategyId::kSfs, true}};
+    examples.push_back(own);
+    examples.push_back(other);
+  }
+  DfsOptimizer optimizer(options);
+  ASSERT_TRUE(optimizer
+                  .Train(examples,
+                         {fs::StrategyId::kSfs, fs::StrategyId::kSffs})
+                  .ok());
+  auto expected = optimizer.Choose(
+      FeaturizeScenario(dataset, model, set, optimizer.options()).value());
+  auto default_pick = optimizer.Choose(*default_query);
+  ASSERT_TRUE(expected.ok());
+  ASSERT_TRUE(default_pick.ok());
+  ASSERT_NE(*expected, *default_pick);
+
+  DeclarativeFeatureSelection dfs(dataset, facade_seed);
+  dfs.SetModel(model).SetConstraints(set);
+  auto result = dfs.SelectWithOptimizer(optimizer);
+  ASSERT_TRUE(result.ok());
+  EXPECT_EQ(result->strategy, fs::StrategyIdToString(*expected));
 }
 
 }  // namespace

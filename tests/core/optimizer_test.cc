@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "data/benchmark_suite.h"
 #include "testing/test_util.h"
 
 namespace dfs::core {
@@ -165,6 +166,67 @@ TEST(DfsOptimizerTest, UntrainedRejectsQueries) {
   query.values.assign(ScenarioFeatures::Names().size(), 0.0);
   EXPECT_FALSE(optimizer.Choose(query).ok());
   EXPECT_FALSE(optimizer.Train({}, {fs::StrategyId::kSfs}).ok());
+}
+
+// A tiny pool: three scenarios on small benchmark datasets with
+// millisecond budgets. With no strategies, every record has no outcomes.
+ExperimentPool TinyPool(std::vector<fs::StrategyId> strategies) {
+  ExperimentConfig config;
+  config.num_scenarios = 3;
+  config.use_hpo = false;
+  config.seed = 31;
+  config.row_scale = 0.05;
+  config.sampler.min_search_seconds = 0.02;
+  config.sampler.max_search_seconds = 0.05;
+  config.strategies = std::move(strategies);
+  auto pool = ExperimentPool::Run(config, /*verbose=*/false);
+  DFS_CHECK(pool.ok()) << pool.status().ToString();
+  return std::move(pool).value();
+}
+
+// One example per record, in record order: the record's featurization and
+// its strategy -> success map.
+void ExpectOneExamplePerRecord(const ExperimentPool& pool) {
+  OptimizerOptions options;
+  options.landmark_sample_size = 40;
+  options.landmark_folds = 2;
+  auto examples = BuildTrainingExamples(pool, options);
+  ASSERT_TRUE(examples.ok()) << examples.status().ToString();
+  const auto& records = pool.records();
+  ASSERT_EQ(examples->size(), records.size());
+  for (size_t i = 0; i < records.size(); ++i) {
+    const ScenarioRecord& record = records[i];
+    auto dataset = data::GenerateBenchmarkDataset(
+        record.dataset_index, pool.config().seed, pool.config().row_scale);
+    ASSERT_TRUE(dataset.ok());
+    auto features = FeaturizeScenario(*dataset, record.model,
+                                      record.constraint_set, options);
+    ASSERT_TRUE(features.ok());
+    EXPECT_EQ((*examples)[i].features.values, features->values) << i;
+    std::map<fs::StrategyId, bool> outcomes;
+    for (const StrategyOutcome& outcome : record.outcomes) {
+      outcomes[outcome.id] = outcome.success;
+    }
+    EXPECT_EQ((*examples)[i].outcomes, outcomes) << i;
+  }
+}
+
+TEST(BuildTrainingExamplesTest, OneExamplePerRecordInRecordOrder) {
+  const ExperimentPool pool =
+      TinyPool({fs::StrategyId::kOriginalFeatureSet, fs::StrategyId::kSfs,
+                fs::StrategyId::kTpeChi2});
+  for (const ScenarioRecord& record : pool.records()) {
+    ASSERT_EQ(record.outcomes.size(), 3u);
+  }
+  ExpectOneExamplePerRecord(pool);
+}
+
+TEST(BuildTrainingExamplesTest, RecordWithoutOutcomesGivesEmptyOutcomeMap) {
+  const ExperimentPool pool = TinyPool({});
+  for (const ScenarioRecord& record : pool.records()) {
+    ASSERT_TRUE(record.outcomes.empty());
+  }
+  ExpectOneExamplePerRecord(pool);
 }
 
 }  // namespace

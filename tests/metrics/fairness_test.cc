@@ -55,15 +55,5 @@ TEST(EqualOpportunityTest, IgnoresNegativesEntirely) {
                    EqualOpportunity(y_true, y_pred_clean, groups));
 }
 
-TEST(StatisticalParityTest, PerfectAndWorst) {
-  std::vector<int> groups = {0, 0, 1, 1};
-  EXPECT_DOUBLE_EQ(StatisticalParity({1, 0, 1, 0}, groups), 1.0);
-  EXPECT_DOUBLE_EQ(StatisticalParity({1, 1, 0, 0}, groups), 0.0);
-}
-
-TEST(StatisticalParityTest, SingleGroupIsFair) {
-  EXPECT_DOUBLE_EQ(StatisticalParity({1, 0}, {0, 0}), 1.0);
-}
-
 }  // namespace
 }  // namespace dfs::metrics

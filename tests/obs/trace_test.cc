@@ -49,7 +49,7 @@ TEST(TraceSpanTest, NestingProducesWellFormedFlatJsonl) {
     {
       TraceSpan inner("fs.ranking", "detail with \"quotes\" and \\slash");
     }
-    TraceSpan sibling("fs.portfolio_slice");
+    TraceSpan sibling("test.sibling");
   }
   TraceWriter::Close();
 
@@ -74,7 +74,7 @@ TEST(TraceSpanTest, NestingProducesWellFormedFlatJsonl) {
             "detail with \"quotes\" and \\slash");
   EXPECT_EQ(serve::GetNumber(spans[0], "depth").value_or(-1), 1.0);
   EXPECT_EQ(serve::GetString(spans[1], "span").value_or(""),
-            "fs.portfolio_slice");
+            "test.sibling");
   EXPECT_EQ(serve::GetNumber(spans[1], "depth").value_or(-1), 1.0);
   EXPECT_EQ(serve::GetString(spans[2], "span").value_or(""), "engine.run");
   EXPECT_EQ(serve::GetString(spans[2], "detail").value_or(""), "SFS(NR)");

@@ -178,7 +178,9 @@ TEST(JobStateTest, TransitionRules) {
 }
 
 TEST(JobStateTest, JobEnforcesTransitions) {
-  Job job(1, JobRequest{.dataset = "x"});
+  JobRequest request;
+  request.dataset = "x";
+  Job job(1, std::move(request));
   EXPECT_EQ(job.state(), JobState::kQueued);
   EXPECT_FALSE(job.TryTransition(JobState::kDone));  // must run first
   EXPECT_TRUE(job.TryTransition(JobState::kRunning));

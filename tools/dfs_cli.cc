@@ -1,6 +1,6 @@
 // dfs_cli — run declarative feature selection on your own dataset.
 //
-//   dfs_cli --data loans.csv --target defaulted --sensitive gender \
+//   dfs_cli --data loans.csv --target defaulted --sensitive gender
 //           --min-f1 0.7 --min-eo 0.9 --budget 30 --strategy "SFFS(NR)"
 //
 // Input is CSV (binary 0/1 target & sensitive columns) or ARFF (binary

@@ -1,6 +1,6 @@
 // dfs_submit — client for the dfs_serverd job service.
 //
-//   dfs_submit --dataset COMPAS --model LR --strategy auto \
+//   dfs_submit --dataset COMPAS --model LR --strategy auto
 //              --min-f1 0.7 --min-eo 0.9 --budget 2 --wait
 //   dfs_submit --status 7        dfs_submit --result 7
 //   dfs_submit --cancel 7        dfs_submit --stats
