@@ -17,9 +17,11 @@
 #                                  # every DFS_* env knob read by the
 #                                  # code is documented in EXPERIMENTS.md,
 #                                  # every tools/ binary is mentioned
-#                                  # in some Markdown file, and README's
+#                                  # in some Markdown file, README's
 #                                  # examples table matches
-#                                  # examples/CMakeLists.txt
+#                                  # examples/CMakeLists.txt, and every
+#                                  # --flag after a dfs_* tool name in
+#                                  # Markdown code is one the tool declares
 #   scripts/check.sh --bench-smoke # build bench_micro and snapshot the
 #                                  # serial-vs-parallel candidate-sweep
 #                                  # throughput to BENCH_results.json,

@@ -41,6 +41,13 @@
 9. Every example declared in examples/CMakeLists.txt
    (`dfs_add_example(<name>)`) has a row in README.md's examples table,
    and every row of that table names a declared example.
+10. Every `--flag` that follows a tool name (`dfs_*` declared in
+   tools/CMakeLists.txt) in a fenced code block or an inline code span
+   of the documents that describe present usage (README.md, DESIGN.md,
+   EXPERIMENTS.md, ROADMAP.md and docs/) is declared by that tool's
+   `FlagParser` (`Add{String,Double,Int,Bool}("<flag>", ...)` in
+   tools/<tool>.cc), so a deleted flag cannot linger in a usage example.
+   Documents that record history may name flags that are gone.
 """
 
 import glob
@@ -346,10 +353,65 @@ def check_examples():
     return errors
 
 
+# A tool name not glued to a file suffix ("dfs_analyze.py", "dfs_cli.cc"),
+# then the rest of its command: up to a shell separator or comment.
+TOOL_COMMAND_RE = r"\b({tools})\b(?![.\w])([^|;&#`]*)"
+FLAG_RE = re.compile(r"(?<![\w-])--([a-z][a-z0-9-]*)")
+# The root documents check 10 holds to the tools' present flags.
+USAGE_DOCS = ("README.md", "DESIGN.md", "EXPERIMENTS.md", "ROADMAP.md")
+
+
+def declared_tool_flags():
+    """tool name -> the flag names its FlagParser declares."""
+    with open(os.path.join(REPO, "tools", "CMakeLists.txt"),
+              encoding="utf-8") as f:
+        tools = re.findall(r"add_executable\(\s*(dfs_[a-z0-9_]+)", f.read())
+    flags = {}
+    for tool in tools:
+        with open(os.path.join(REPO, "tools", tool + ".cc"),
+                  encoding="utf-8") as handle:
+            flags[tool] = set(re.findall(
+                r"\bAdd(?:String|Double|Int|Bool)\(\s*\"([^\"]+)\"",
+                handle.read()))
+    return flags
+
+
+def check_tool_flags():
+    flags = declared_tool_flags()
+    command_re = re.compile(TOOL_COMMAND_RE.format(
+        tools="|".join(sorted(flags, key=len, reverse=True))))
+    errors = []
+    for path in markdown_files():
+        if (os.path.basename(path) not in USAGE_DOCS and
+                not path.startswith(os.path.join(REPO, "docs", ""))):
+            continue
+        with open(path, encoding="utf-8") as handle:
+            text = handle.read()
+        # A fenced block holds one command per line, continued across
+        # trailing backslashes; an inline span is one command, which may
+        # wrap onto the next line.
+        lines = []
+        for block in re.findall(r"```.*?```", text, re.DOTALL):
+            lines += block.replace("\\\n", " ").splitlines()
+        lines += [span.replace("\n", " ") for span in
+                  re.findall(r"`([^`]+)`", strip_code_blocks(text))
+                  if "\n\n" not in span]
+        for line in lines:
+            for match in command_re.finditer(line):
+                tool = match.group(1)
+                errors += [
+                    f"{os.path.relpath(path, REPO)}: '{tool} --{flag}' but "
+                    f"tools/{tool}.cc declares no '{flag}' flag"
+                    for flag in FLAG_RE.findall(match.group(2))
+                    if flag not in flags[tool]]
+    return sorted(set(errors))
+
+
 def main():
     errors = (check_links() + check_bench_binaries() + check_env_knobs() +
               check_tool_binaries() + check_cache_format_version() +
-              check_lock_order_artifact() + check_examples())
+              check_lock_order_artifact() + check_examples() +
+              check_tool_flags())
     for prefix, handler, verb in SURFACES:
         errors += check_instruments(prefix) + check_verb_fields(handler, verb)
     for error in errors:

@@ -13,7 +13,6 @@
 #include "obs/metrics.h"
 #include "fs/registry.h"
 #include "util/mutex.h"
-#include "util/statusor.h"
 #include "util/thread_annotations.h"
 
 namespace dfs::router {
@@ -22,7 +21,6 @@ namespace dfs::router {
 /// scenario fingerprint, the optimizer's per-strategy probabilities and
 /// the argmax they produced.
 struct RouteDecision {
-  uint64_t sequence = 0;     ///< decision ordinal (monotonic per router)
   uint64_t generation = 0;   ///< optimizer generation the decision used
   uint64_t fingerprint = 0;  ///< core::ScenarioFingerprint of the scenario
   bool featurized = false;   ///< probabilities were available
@@ -31,8 +29,7 @@ struct RouteDecision {
   fs::StrategyId chosen = fs::StrategyId::kSffs;
 };
 
-/// Counters of one router since it was constructed. A restored snapshot
-/// resumes the trace's decision sequence, not these counts.
+/// Counters of one router since it was constructed.
 struct RouterStats {
   /// Decisions recorded so far: the sum over routes[]. Each Route call
   /// counts once it returns.
@@ -48,25 +45,20 @@ struct RouterStats {
   std::map<std::string, uint64_t> routes;
 };
 
-/// Bounded fingerprint → ScenarioFeatures cache (FIFO eviction). Both
-/// sides of the landmark-CV amortization: the serving hot path pays
-/// FeaturizeScenario once per scenario shape, and the snapshot carries the
-/// entries so traced decisions replay without re-landmarking.
+/// Bounded fingerprint → ScenarioFeatures cache (FIFO eviction): the
+/// serving hot path pays FeaturizeScenario once per scenario shape.
 class FeatureCache {
  public:
   explicit FeatureCache(size_t capacity);
 
   bool Lookup(uint64_t fingerprint, core::ScenarioFeatures* features) const;
-  /// Lookup that does not count as a hit or miss (replay must not perturb
-  /// the cache statistics it is checking against).
+  /// Lookup that does not count as a hit or miss (an inspection must not
+  /// move the statistics the router reports).
   bool Peek(uint64_t fingerprint, core::ScenarioFeatures* features) const;
   void Insert(uint64_t fingerprint, const core::ScenarioFeatures& features);
   size_t size() const;
   uint64_t hits() const;
   uint64_t misses() const;
-
-  /// Entries in insertion (eviction) order, for serialization.
-  std::vector<std::pair<uint64_t, core::ScenarioFeatures>> Entries() const;
 
  private:
   const size_t capacity_;
@@ -81,7 +73,7 @@ class FeatureCache {
 /// paper's Algorithm 1. With an installed DfsOptimizer a decision is its
 /// argmax (core::ArgmaxStrategy) over the probabilities it predicts for
 /// the scenario's cached features; without one it is the default strategy.
-/// Every decision is emitted as a replayable trace record.
+/// Every decision is emitted as a "router.decision" trace record.
 ///
 ///   router::StrategyRouter router(fs::StrategyId::kSffs);
 ///   router.InstallOptimizer(std::move(optimizer));
@@ -117,38 +109,15 @@ class StrategyRouter {
 
   RouterStats Stats() const;
 
+  /// The strategy "auto" resolves to without an optimizer's decision.
+  fs::StrategyId default_strategy() const { return default_strategy_; }
+
   /// The installed optimizer's cached features of a scenario, without
   /// counting a hit or miss. False when the scenario is not cached.
   bool PeekFeatures(uint64_t fingerprint,
                     core::ScenarioFeatures* features) const;
 
-  // Snapshot / restore ------------------------------------------------
-  /// Serializes the decision sequence, generation, feature cache and the
-  /// optimizer (via its own Serialize) — everything a replay needs
-  /// (DESIGN.md §2g). The default strategy is the constructor's, not
-  /// snapshot state.
-  StatusOr<std::string> Serialize() const;
-  /// Inverse of Serialize: replaces the router's state in place.
-  Status RestoreState(const std::string& text);
-  /// Writes aside, then renames (WriteFileAtomically).
-  Status SaveToFile(const std::string& path) const;
-  Status LoadFromFile(const std::string& path);
-
-  /// Replay hook: re-derives a traced decision from the snapshot state.
-  /// Does not advance the sequence, touch metrics, or emit a trace record.
-  /// `featurized` must be the trace record's feat flag; the features come
-  /// from the snapshot's cache (NotFound if the entry is missing).
-  StatusOr<RouteDecision> ReplayDecision(uint64_t fingerprint,
-                                         bool featurized) const;
-
  private:
-  /// The pure decision core shared by Route and ReplayDecision: the
-  /// optimizer's argmax over its probabilities for `features`, or the
-  /// default strategy when either is missing.
-  void Decide(const core::DfsOptimizer* optimizer,
-              const core::ScenarioFeatures* features,
-              RouteDecision* decision) const;
-
   void RecordDecision(const RouteDecision& decision);
 
   const fs::StrategyId default_strategy_;
@@ -159,7 +128,6 @@ class StrategyRouter {
   /// optimizer_, so a cached entry never serves another optimizer.
   std::shared_ptr<FeatureCache> cache_ DFS_GUARDED_BY(mu_);
   uint64_t generation_ DFS_GUARDED_BY(mu_) = 0;
-  uint64_t sequence_ DFS_GUARDED_BY(mu_) = 0;
   std::map<fs::StrategyId, uint64_t> routes_ DFS_GUARDED_BY(mu_);
   /// Cached registry references for the "router.routes.<label>" family so
   /// the hot path registers each name only once.

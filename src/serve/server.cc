@@ -350,7 +350,7 @@ DfsServer::JobOutcome DfsServer::ExecuteJob(Job& job) {
   if (!dataset.ok()) return fail(dataset.status().ToString());
 
   // Resolve what to run: an explicit strategy name, the router's decision
-  // (stamped at submission), or the configured default for "auto" jobs that
+  // (stamped at submission), or the router's default for "auto" jobs that
   // could not be routed.
   std::unique_ptr<fs::FeatureSelectionStrategy> strategy;
   if (request.strategy != "auto") {
@@ -360,9 +360,7 @@ DfsServer::JobOutcome DfsServer::ExecuteJob(Job& job) {
   } else if (auto route = job.route(); route.has_value()) {
     strategy = fs::CreateStrategy(route->chosen, request.seed);
   } else {
-    auto fallback = fs::StrategyIdFromString(options_.default_auto_strategy);
-    if (!fallback.ok()) return fail(fallback.status().ToString());
-    strategy = fs::CreateStrategy(*fallback, request.seed);
+    strategy = fs::CreateStrategy(router_.default_strategy(), request.seed);
   }
 
   Rng rng(request.seed);

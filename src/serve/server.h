@@ -43,7 +43,8 @@ struct ServerOptions {
   uint64_t seed = 7;
   /// Strategy used for "auto" requests when no meta-optimizer is loaded
   /// (SFFS(NR) is the paper's best all-round single strategy); the
-  /// router's default strategy.
+  /// router's default strategy. An unknown name is logged and resolves to
+  /// SFFS(NR), for routed and unrouted "auto" jobs alike.
   std::string default_auto_strategy = "SFFS(NR)";
 };
 
@@ -117,9 +118,8 @@ class DfsServer {
   /// use Algorithm 1's deployment phase (the optimizer's argmax).
   void SetOptimizer(core::DfsOptimizer optimizer);
 
-  /// The strategy router owning "auto" resolution (decisions, stats,
-  /// snapshot/restore; see router/router.h).
-  router::StrategyRouter& router() { return router_; }
+  /// The strategy router owning "auto" resolution (decisions and stats;
+  /// see router/router.h).
   const router::StrategyRouter& router() const { return router_; }
 
   /// The routing decision stamped on an "auto" job at submission; nullopt

@@ -4,14 +4,17 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstdlib>
 #include <filesystem>
+#include <map>
 #include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "core/optimizer.h"
-#include "router/replay.h"
+#include "obs/trace.h"
+#include "serve/line_protocol.h"
 #include "testing/test_util.h"
 #include "util/file_util.h"
 #include "util/rng.h"
@@ -77,67 +80,71 @@ const std::vector<fs::StrategyId>& ThreeStrategies() {
   return strategies;
 }
 
-/// A router snapshot whose feature cache holds `features` under
-/// fingerprints 1..N, so ReplayDecision runs the router's decision on
-/// arbitrary feature vectors.
-std::string SnapshotWithFeatures(
-    const core::DfsOptimizer& optimizer,
-    const std::vector<core::ScenarioFeatures>& features) {
-  std::ostringstream out;
-  out.precision(17);
-  out << "dfs-router v2\nsequence 0\ngeneration 1\ncache " << features.size()
-      << "\n";
-  for (size_t i = 0; i < features.size(); ++i) {
-    out << i + 1 << " " << features[i].values.size();
-    for (const double value : features[i].values) out << " " << value;
-    out << "\n";
+/// Distinct constraint sets: each is its own scenario fingerprint, so
+/// routing them featurizes one scenario shape per set.
+std::vector<constraints::ConstraintSet> ConstraintSets() {
+  std::vector<constraints::ConstraintSet> sets;
+  for (const double min_f1 : {0.2, 0.5, 0.8}) {
+    for (const bool bounded : {false, true}) {
+      constraints::ConstraintSet set;
+      set.min_f1 = min_f1;
+      if (bounded) set.max_feature_fraction = 0.5;
+      sets.push_back(set);
+    }
   }
-  const std::string blob = optimizer.Serialize().value();
-  out << "optimizer " << blob.size() << "\n" << blob << "\n";
-  return out.str();
+  return sets;
 }
 
 // ---- The decision rule: the static argmax of Algorithm 1 -------------
 
 // A routed decision with an installed optimizer is DfsOptimizer::Choose on
 // the same features, bit for bit — same iteration order, same
-// strictly-greater tie-break.
+// strictly-greater tie-break — and carries the optimizer's own
+// probabilities.
 TEST(StaticPolicyTest, MatchesOptimizerChooseBitForBit) {
   const std::vector<fs::StrategyId> strategies = {
       fs::StrategyId::kSfs, fs::StrategyId::kSbs, fs::StrategyId::kTpeChi2,
       fs::StrategyId::kSffs};
-  const core::DfsOptimizer optimizer = TrainedOptimizer(strategies, 5);
-  std::vector<core::ScenarioFeatures> features;
-  for (uint64_t seed = 0; seed < 32; ++seed) {
-    features.push_back(RandomFeatures(FeatureDims(), 100 + seed));
-  }
+  core::DfsOptimizer optimizer = TrainedOptimizer(strategies, 5);
+  auto reference = core::DfsOptimizer::Deserialize(*optimizer.Serialize());
+  ASSERT_TRUE(reference.ok());
   StrategyRouter router;
-  ASSERT_TRUE(
-      router.RestoreState(SnapshotWithFeatures(optimizer, features)).ok());
-  for (size_t i = 0; i < features.size(); ++i) {
-    auto expected = optimizer.Choose(features[i]);
+  router.InstallOptimizer(std::move(optimizer));
+
+  const data::Dataset dataset = testing::MakeLinearDataset(80, 3, 99);
+  for (const constraints::ConstraintSet& set : ConstraintSets()) {
+    const RouteDecision decision = router.Route(
+        dataset, kDataset, ml::ModelKind::kLogisticRegression, set);
+    ASSERT_TRUE(decision.featurized) << "min_f1 " << set.min_f1;
+    core::ScenarioFeatures features;
+    ASSERT_TRUE(router.PeekFeatures(decision.fingerprint, &features));
+    auto expected = reference->Choose(features);
     ASSERT_TRUE(expected.ok());
-    auto decision = router.ReplayDecision(i + 1, /*featurized=*/true);
-    ASSERT_TRUE(decision.ok()) << decision.status().ToString();
-    EXPECT_EQ(decision->chosen, *expected) << "features " << i;
-    auto probabilities = optimizer.PredictProbabilities(features[i]);
+    EXPECT_EQ(decision.chosen, *expected) << "min_f1 " << set.min_f1;
+    auto probabilities = reference->PredictProbabilities(features);
     ASSERT_TRUE(probabilities.ok());
-    ASSERT_EQ(decision->probabilities.size(), strategies.size());
-    for (const auto& [id, probability] : decision->probabilities) {
-      EXPECT_EQ(probability, probabilities->at(id));
+    ASSERT_EQ(decision.probabilities.size(), strategies.size());
+    for (size_t s = 0; s < strategies.size(); ++s) {
+      EXPECT_EQ(decision.probabilities[s].first, strategies[s]);
+      EXPECT_EQ(decision.probabilities[s].second,
+                probabilities->at(strategies[s]));
     }
   }
+  EXPECT_EQ(router.Stats().feature_cache_size, ConstraintSets().size());
 }
 
 // No optimizer → the default strategy the router was built with, and no
 // probabilities.
 TEST(StaticPolicyTest, FallsBackWithoutProbabilities) {
   StrategyRouter router(fs::StrategyId::kSfs);
-  auto decision = router.ReplayDecision(7, /*featurized=*/false);
-  ASSERT_TRUE(decision.ok());
-  EXPECT_EQ(decision->chosen, fs::StrategyId::kSfs);
-  EXPECT_FALSE(decision->featurized);
-  EXPECT_TRUE(decision->probabilities.empty());
+  EXPECT_EQ(router.default_strategy(), fs::StrategyId::kSfs);
+  const data::Dataset dataset = testing::MakeLinearDataset(80, 3, 99);
+  const RouteDecision decision =
+      router.Route(dataset, kDataset, ml::ModelKind::kLogisticRegression,
+                   constraints::ConstraintSet{});
+  EXPECT_EQ(decision.chosen, fs::StrategyId::kSfs);
+  EXPECT_FALSE(decision.featurized);
+  EXPECT_TRUE(decision.probabilities.empty());
 }
 
 // ---- FeatureCache ---------------------------------------------------
@@ -155,7 +162,7 @@ TEST(FeatureCacheTest, FifoEvictionAndCounters) {
   EXPECT_FALSE(cache.Lookup(7, &out));  // miss 2
   EXPECT_TRUE(cache.Lookup(9, &out));   // hit 1
   EXPECT_EQ(out.values, features.values);
-  // Peek is invisible to the counters (replay must not perturb them).
+  // Peek is invisible to the counters.
   EXPECT_TRUE(cache.Peek(8, &out));
   EXPECT_FALSE(cache.Peek(7, &out));
   EXPECT_EQ(cache.hits(), 1u);
@@ -243,91 +250,84 @@ TEST(StrategyRouterTest, FeaturizesWithInstalledOptimizerOptions) {
   }
 }
 
-TEST(StrategyRouterTest, SnapshotRoundTripIsByteIdentical) {
-  StrategyRouter router;
-  router.InstallOptimizer(TrainedOptimizer(ThreeStrategies(), 8));
-
-  const data::Dataset dataset = testing::MakeLinearDataset(80, 3, 99);
-  constraints::ConstraintSet sets[2];
-  sets[0].min_f1 = 0.5;
-  sets[1].min_f1 = 0.2;
-  for (int i = 0; i < 8; ++i) {
-    (void)router.Route(dataset, kDataset, ml::ModelKind::kLogisticRegression,
-                       sets[i % 2]);
-  }
-
-  auto snapshot = router.Serialize();
-  ASSERT_TRUE(snapshot.ok());
-  StrategyRouter restored;
-  ASSERT_TRUE(restored.RestoreState(*snapshot).ok());
-  auto again = restored.Serialize();
-  ASSERT_TRUE(again.ok());
-  EXPECT_EQ(*snapshot, *again);
-
-  const RouterStats stats = restored.Stats();
-  EXPECT_EQ(stats.generation, 1u);
-  EXPECT_EQ(stats.feature_cache_size, 2u);
-  EXPECT_TRUE(stats.optimizer_loaded);
-}
-
-// A v1 snapshot (policy, seed and replay-buffer fields) is refused by name
-// rather than half-read.
-TEST(StrategyRouterTest, RestoreRejectsVersion1Snapshot) {
-  StrategyRouter router;
-  const Status status = router.RestoreState(
-      "dfs-router v1\npolicy static\nseed 17\nsequence 0\n");
-  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
-  EXPECT_NE(status.message().find("'v1'"), std::string::npos)
-      << status.message();
-  EXPECT_EQ(router.RestoreState("not a snapshot").code(),
-            StatusCode::kInvalidArgument);
-}
-
-// A save that cannot complete leaves the previous snapshot byte-identical.
-TEST(StrategyRouterTest, FailedSaveKeepsPreviousSnapshot) {
+// The "router.decision" trace record states the decision on its own: one
+// flat-JSON line per Route call, whose `chosen` is the argmax of its own
+// `probs` in optimizer order and whose `probs` read back bit-equal to the
+// returned decision's.
+TEST(StrategyRouterTest, TraceRecordStatesTheDecision) {
   const std::string path =
-      (std::filesystem::temp_directory_path() / "dfs_router_save_test.state")
+      (std::filesystem::temp_directory_path() / "dfs_router_trace_test.jsonl")
           .string();
-  StrategyRouter router;
-  ASSERT_TRUE(router.SaveToFile(path).ok());
-  const std::string before = ReadFileToString(path).value();
-
-  router.InstallOptimizer(TrainedOptimizer(ThreeStrategies(), 4));
-  std::filesystem::create_directory(path + ".tmp");
-  EXPECT_FALSE(router.SaveToFile(path).ok());
-  EXPECT_EQ(ReadFileToString(path).value(), before);
-
-  std::filesystem::remove(path + ".tmp");
-  ASSERT_TRUE(router.SaveToFile(path).ok());
-  EXPECT_NE(ReadFileToString(path).value(), before);
-  std::filesystem::remove(path);
-}
-
-TEST(StrategyRouterTest, ReplayDecisionMatchesLiveTrace) {
-  StrategyRouter router;
-  router.InstallOptimizer(TrainedOptimizer(ThreeStrategies(), 13));
-
   const data::Dataset dataset = testing::MakeLinearDataset(80, 3, 99);
-  constraints::ConstraintSet sets[2];
-  sets[0].min_f1 = 0.5;
-  sets[1].min_f1 = 0.2;
-  std::vector<RouteDecision> live;
-  for (int i = 0; i < 6; ++i) {
-    live.push_back(router.Route(dataset, kDataset,
-                                ml::ModelKind::kLogisticRegression,
-                                sets[i % 2]));
+  StrategyRouter router;
+  std::vector<RouteDecision> decisions;
+  ASSERT_TRUE(obs::TraceWriter::Open(path).ok());
+  // One decision before the install (the default, "probs=-"), then one per
+  // constraint set with the optimizer's probabilities.
+  decisions.push_back(router.Route(dataset, kDataset,
+                                   ml::ModelKind::kLogisticRegression,
+                                   constraints::ConstraintSet{}));
+  router.InstallOptimizer(TrainedOptimizer(ThreeStrategies(), 13));
+  for (const constraints::ConstraintSet& set : ConstraintSets()) {
+    decisions.push_back(router.Route(
+        dataset, kDataset, ml::ModelKind::kLogisticRegression, set));
   }
-  // Decisions must replay byte-identically from a restored snapshot.
-  auto snapshot = router.Serialize();
-  ASSERT_TRUE(snapshot.ok());
-  StrategyRouter restored;
-  ASSERT_TRUE(restored.RestoreState(*snapshot).ok());
-  for (const RouteDecision& decision : live) {
-    auto replayed =
-        restored.ReplayDecision(decision.fingerprint, decision.featurized);
-    ASSERT_TRUE(replayed.ok());
-    replayed->sequence = decision.sequence;  // history, not state
-    EXPECT_EQ(DecisionDetail(*replayed), DecisionDetail(decision));
+  obs::TraceWriter::Close();
+  const std::string trace = ReadFileToString(path).value();
+  std::filesystem::remove(path);
+
+  std::vector<std::string> details;
+  std::istringstream lines(trace);
+  for (std::string line; std::getline(lines, line);) {
+    auto span = serve::ParseJsonLine(line);
+    ASSERT_TRUE(span.ok()) << line;
+    if (serve::GetString(*span, "span").value_or("") != "router.decision") {
+      continue;
+    }
+    auto detail = serve::GetString(*span, "detail");
+    ASSERT_TRUE(detail.ok()) << line;
+    details.push_back(*detail);
+  }
+  ASSERT_EQ(details.size(), decisions.size());
+
+  for (size_t i = 0; i < decisions.size(); ++i) {
+    const RouteDecision& decision = decisions[i];
+    std::map<std::string, std::string> fields;
+    std::istringstream tokens(details[i]);
+    for (std::string token; tokens >> token;) {
+      const size_t eq = token.find('=');
+      ASSERT_NE(eq, std::string::npos) << details[i];
+      fields[token.substr(0, eq)] = token.substr(eq + 1);
+    }
+    EXPECT_EQ(fields.size(), 5u) << details[i];  // gen fp feat chosen probs
+    EXPECT_EQ(fields["gen"], std::to_string(decision.generation));
+    EXPECT_EQ(fields["fp"], std::to_string(decision.fingerprint));
+    EXPECT_EQ(fields["feat"], decision.featurized ? "1" : "0");
+    EXPECT_EQ(fields["chosen"],
+              std::to_string(static_cast<int>(decision.chosen)));
+
+    if (decision.probabilities.empty()) {
+      EXPECT_EQ(fields["probs"], "-");
+      continue;
+    }
+    // probs: "<id>:<%.17g>,..." in optimizer order.
+    std::vector<std::pair<int, double>> traced;
+    std::istringstream pairs(fields["probs"]);
+    for (std::string pair; std::getline(pairs, pair, ',');) {
+      const size_t colon = pair.find(':');
+      ASSERT_NE(colon, std::string::npos) << pair;
+      traced.emplace_back(std::stoi(pair.substr(0, colon)),
+                          std::strtod(pair.c_str() + colon + 1, nullptr));
+    }
+    ASSERT_EQ(traced.size(), decision.probabilities.size());
+    size_t best = 0;
+    for (size_t s = 0; s < traced.size(); ++s) {
+      EXPECT_EQ(traced[s].first,
+                static_cast<int>(decision.probabilities[s].first));
+      EXPECT_EQ(traced[s].second, decision.probabilities[s].second);
+      if (traced[s].second > traced[best].second) best = s;
+    }
+    EXPECT_EQ(fields["chosen"], std::to_string(traced[best].first));
   }
 }
 
@@ -359,17 +359,15 @@ TEST(StrategyRouterChurnTest, ConcurrentRouteInstallSnapshot) {
       }
     });
   }
-  // Snapshot/stats churn against the routing threads.
+  // Stats snapshots and feature-cache peeks against the routing threads.
   threads.emplace_back([&router, &stop] {
+    core::ScenarioFeatures features;
     while (!stop.load()) {
       (void)router.Stats();
-      auto snapshot = router.Serialize();
-      ASSERT_TRUE(snapshot.ok());
-      StrategyRouter scratch;
-      ASSERT_TRUE(scratch.RestoreState(*snapshot).ok());
+      (void)router.PeekFeatures(0, &features);
     }
   });
-  // Concurrent warm-restart installs.
+  // Concurrent optimizer installs.
   threads.emplace_back([&router, &stop, &blob] {
     while (!stop.load()) {
       router.InstallOptimizer(core::DfsOptimizer::Deserialize(blob).value());

@@ -254,6 +254,40 @@ TEST(DfsServerTest, AutoStrategyFallsBackWithoutOptimizer) {
   EXPECT_EQ(result->strategy, "SFFS(NR)");  // documented default
 }
 
+// An "auto" job whose dataset could not be resolved at submit stays
+// unrouted; once the dataset exists the worker runs the router's default,
+// which an unknown default_auto_strategy resolves to SFFS(NR) for routed
+// and unrouted jobs alike.
+TEST(DfsServerTest, UnroutedAutoJobRunsTheRoutersDefault) {
+  ServerOptions options = FastOptions(/*workers=*/1, /*capacity=*/4);
+  options.default_auto_strategy = "bogus";
+  DfsServer server(options);
+  server.RegisterDataset(kWideDataset,
+                         testing::MakeLinearDataset(200, 20, 1234));
+  auto blocker = server.Submit(EndlessJob(30.0));
+  ASSERT_TRUE(blocker.ok());
+  ASSERT_TRUE(
+      WaitForState(server, *blocker, JobState::kRunning, 10.0).ok());
+
+  JobRequest request = EasyJob();
+  request.dataset = "registered-late";
+  request.strategy = "auto";
+  auto id = server.Submit(request);
+  ASSERT_TRUE(id.ok());
+  EXPECT_FALSE(server.GetRoute(*id).has_value());
+
+  server.RegisterDataset("registered-late",
+                         testing::MakeLinearDataset(200, 4, 1234));
+  ASSERT_TRUE(server.Cancel(*blocker).ok());
+  ASSERT_TRUE(server.WaitForTerminal(*id, 60.0).ok());
+  auto view = server.GetStatus(*id);
+  ASSERT_TRUE(view.ok());
+  EXPECT_NE(view->state, JobState::kFailed) << view->error;
+  auto result = server.GetResult(*id);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_EQ(result->strategy, "SFFS(NR)");
+}
+
 TEST(DfsServerTest, RoutedSubmitResponseCarriesRouteFields) {
   auto server = MakeServer(/*workers=*/1, /*capacity=*/4);
   JsonObject response =

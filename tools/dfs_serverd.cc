@@ -37,7 +37,6 @@ struct DaemonOptions {
   double row_scale = 1.0;
   std::string optimizer;  // path to a serialized DfsOptimizer
   std::string trace_out;  // JSONL trace-span output (empty = disabled)
-  std::string router_state;  // router snapshot path (warm restart)
   std::string eval_cache_state;  // eval-cache spill path (warm restart)
   bool expose = false;    // bind all interfaces instead of loopback
   bool help = false;
@@ -47,8 +46,8 @@ struct DaemonOptions {
 /// EventLoopFrontEnd::RequestStop is async-signal-safe (an atomic store,
 /// shutdown(2) on the listener, one eventfd write(2) per I/O thread), so
 /// SIGTERM/SIGINT wake the whole front-end and let the normal exit path
-/// run (state spills, stats line) instead of dying with the cache and
-/// router snapshots unsaved.
+/// run (eval-cache spill, stats line) instead of dying with the cache
+/// unsaved.
 std::atomic<serve::EventLoopFrontEnd*> g_frontend{nullptr};
 
 extern "C" void HandleTerminationSignal(int) {
@@ -96,12 +95,6 @@ int RealMain(int argc, char** argv) {
                    "write JSONL trace spans (serve.job, engine.run, fs.*, "
                    "router.decision) to this file",
                    &options.trace_out);
-  parser.AddString("router-state",
-                   "router snapshot path: loaded at boot if present, saved "
-                   "at shutdown (warm restart and dfs_route_replay). "
-                   "--optimizer, when also given, replaces the restored "
-                   "optimizer",
-                   &options.router_state);
   parser.AddString("eval-cache-state",
                    "shared eval-cache spill path (docs/CACHE.md): restored "
                    "at boot if present, saved at shutdown so evaluations "
@@ -143,20 +136,6 @@ int RealMain(int argc, char** argv) {
   server_options.result_ttl_seconds = options.ttl;
   server_options.dataset_row_scale = options.row_scale;
   serve::DfsServer server(server_options);
-
-  if (!options.router_state.empty()) {
-    const Status status = server.router().LoadFromFile(options.router_state);
-    if (status.ok()) {
-      std::printf("router state restored from %s\n",
-                  options.router_state.c_str());
-    } else if (status.code() == StatusCode::kNotFound) {
-      std::printf("router state %s not found; starting fresh\n",
-                  options.router_state.c_str());
-    } else {
-      std::fprintf(stderr, "router-state: %s\n", status.ToString().c_str());
-      return 1;
-    }
-  }
 
   if (!options.eval_cache_state.empty()) {
     auto restored = server.eval_caches().LoadFromFile(options.eval_cache_state);
@@ -208,7 +187,7 @@ int RealMain(int argc, char** argv) {
   std::fflush(stdout);
 
   // From here, SIGTERM/SIGINT stop the front-end for a graceful exit:
-  // state spills (router + eval cache) still run.
+  // the eval-cache spill still runs.
   g_frontend.store(&frontend);
   std::signal(SIGTERM, HandleTerminationSignal);
   std::signal(SIGINT, HandleTerminationSignal);
@@ -220,17 +199,6 @@ int RealMain(int argc, char** argv) {
   g_frontend.store(nullptr);
 
   server.Shutdown(/*cancel_pending=*/true);
-  if (!options.router_state.empty()) {
-    // After Shutdown the workers have joined, so the router is quiescent —
-    // the snapshot is a consistent cut for warm restart and replay.
-    if (Status status = server.router().SaveToFile(options.router_state);
-        status.ok()) {
-      std::printf("router state saved to %s\n", options.router_state.c_str());
-    } else {
-      std::fprintf(stderr, "router-state save: %s\n",
-                   status.ToString().c_str());
-    }
-  }
   if (!options.eval_cache_state.empty()) {
     // Workers are joined, so the registry is quiescent: the spill is a
     // consistent cut (docs/CACHE.md).
